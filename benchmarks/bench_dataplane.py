@@ -45,7 +45,6 @@ from repro.workloads.blocks import ResidencyGovernor
 from repro.workloads.generator import (
     JobSynthesizer,
     TraceGeneratorConfig,
-    expected_pending_estimator,
     plan_submissions,
     record_for,
 )
@@ -91,14 +90,13 @@ def bench_run_study(config: TraceGeneratorConfig, fleet,
         columnar_records.clear()
         columnar_records.extend(_run_pipeline(
             config, fleet,
-            JobSynthesizer(config, fleet, expected_pending_estimator(fleet)),
+            JobSynthesizer(config, fleet),
             record_for))
 
     def rowpath_pass():
         _run_pipeline(
             config, fleet,
-            RowPathSynthesizer(config, fleet,
-                               expected_pending_estimator(fleet)),
+            RowPathSynthesizer(config, fleet),
             record_for_rowpath)
 
     # Untimed warm-up: the first pass pays the one-off circuit-building cost

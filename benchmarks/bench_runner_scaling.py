@@ -52,44 +52,3 @@ def test_runner_speedup(scaling_config, emit, benchmark):
         f"simulation {parallel.timings['simulation']:.2f}s)\n"
         f"  speedup: {speedup:.2f}x on {workers} workers"
     )
-
-
-def test_simulation_engine_speedup(scaling_config, emit, benchmark):
-    """Simulation-phase breakdown: batched fast-sim vs the event loop.
-
-    Runs the same single-worker study through both simulation cores.  The
-    golden contract (tests/test_fastsim_golden.py) makes the traces
-    byte-identical, which this bench re-asserts; on top of that it reports
-    the simulation-phase wall-clock, an events/sec estimate for the event
-    engine, and the batched-vs-event speedup.  The ~5-10x target holds at
-    full study scale — at the reduced CI smoke scale fixed per-run setup
-    costs dominate, so the speedup is reported, not asserted.
-    """
-    event = run_study(config=scaling_config, workers=1, use_cache=False,
-                      engine="event")
-    batched = benchmark.pedantic(
-        lambda: run_study(config=scaling_config, workers=1, use_cache=False,
-                          engine="batched"),
-        rounds=1, iterations=1,
-    )
-
-    # The byte-equivalence contract, end to end through the runner.
-    assert batched.trace.records == event.trace.records
-
-    counts = event.trace.status_counts()
-    # ~4 events per completed job (dispatch/start/finish/chained dispatch),
-    # ~3 per cancellation (dispatch/cancel/chained dispatch).
-    events = (4 * (counts.get("DONE", 0) + counts.get("ERROR", 0))
-              + 3 * counts.get("CANCELLED", 0))
-    event_sim = event.timings["simulation"]
-    batched_sim = batched.timings["simulation"]
-    speedup = event_sim / batched_sim if batched_sim > 0 else float("inf")
-    events_per_s = events / event_sim if event_sim > 0 else float("inf")
-    emit(
-        f"simulation engines ({SCALING_JOBS} jobs, {SCALING_MONTHS} "
-        f"months, workers=1):\n"
-        f"  event:    {event_sim:7.3f}s simulation phase "
-        f"({events} events, {events_per_s:,.0f} events/s)\n"
-        f"  batched:  {batched_sim:7.3f}s simulation phase\n"
-        f"  speedup:  {speedup:.2f}x (byte-identical traces)"
-    )

@@ -1,10 +1,10 @@
-"""Benchmark: suite scheduling on one shared pool vs the sequential engine.
+"""Benchmark: suite scheduling on one shared pool vs one study at a time.
 
 Runs the same scenario suite twice at a configurable scale:
 
-* **sequential** — the per-scenario engine (``suite_scheduling=False``):
-  every scenario builds its own worker pool, runs its synthesis and
-  simulation phases behind private barriers, and tears the pool down.
+* **sequential** — one ``run_study`` per scenario: every scenario builds
+  its own worker pool, runs its synthesis and simulation phases behind
+  private barriers, and tears the pool down.
 * **suite** — the shared-pool scheduler: one
   :class:`~repro.runner.pool.SharedWorkerPool` executes every scenario's
   shards and machine groups as a single interleaved work queue.
@@ -22,7 +22,7 @@ summary.  Run as a script::
         --replicates 2 --sweep backlog_shift.scale=1.5,2.5
 
 Target (the PR acceptance bar): >=1.3x wall-clock over the sequential
-engine on a 5-scenario reduced-scale suite with multiple workers.
+studies on a 5-scenario reduced-scale suite with multiple workers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import List
 
 from repro.core.env import env_int
-from repro.runner import default_workers
+from repro.runner import default_workers, run_study
 from repro.scenarios import (
     ScenarioEngine,
     expand_sweeps,
@@ -62,24 +62,37 @@ def build_scenarios(args, base_seed: int) -> List:
     return scenarios
 
 
-def run_mode(config, scenarios, workers, suite_scheduling, quiet):
-    progress = None if quiet else (
-        lambda message: print(f"  [{'suite' if suite_scheduling else 'seq'}] "
-                              f"{message}"))
-    engine = ScenarioEngine(
-        config, workers=workers, suite_scheduling=suite_scheduling,
-        progress=progress)
+def _printer(tag, quiet):
+    return None if quiet else (
+        lambda message: print(f"  [{tag}] {message}"))
+
+
+def run_sequential(config, scenarios, workers, quiet):
+    """One ``run_study`` (with its own transient pool) per scenario."""
+    started = time.perf_counter()
+    traces = {
+        scenario.name: run_study(config=scenario.apply_to(config),
+                                 workers=workers, use_cache=False,
+                                 progress=_printer("seq", quiet)).trace
+        for scenario in scenarios
+    }
+    return traces, time.perf_counter() - started
+
+
+def run_suite(config, scenarios, workers, quiet):
+    engine = ScenarioEngine(config, workers=workers,
+                            progress=_printer("suite", quiet))
     started = time.perf_counter()
     suite = engine.run(scenarios, use_cache=False)
     return suite, time.perf_counter() - started
 
 
-def traces_match(first, second, scratch: Path) -> bool:
-    for run in first:
+def traces_match(traces, suite, scratch: Path) -> bool:
+    for name, trace in traces.items():
         a = scratch / "a.npz"
         b = scratch / "b.npz"
-        run.trace.to_npz(a)
-        second.run_for(run.name).trace.to_npz(b)
+        trace.to_npz(a)
+        suite.run_for(name).trace.to_npz(b)
         if a.read_bytes() != b.read_bytes():
             return False
     return True
@@ -115,26 +128,25 @@ def main() -> int:
     print(f"suite: {len(scenarios)} scenarios x {args.jobs} jobs / "
           f"{args.months} months, {args.workers} workers")
 
-    sequential_suite, sequential_seconds = run_mode(
-        config, scenarios, args.workers, suite_scheduling=False,
-        quiet=args.quiet)
-    print(f"sequential engine: {sequential_seconds:.2f}s")
-    shared_suite, suite_seconds = run_mode(
-        config, scenarios, args.workers, suite_scheduling=True,
-        quiet=args.quiet)
+    sequential_traces, sequential_seconds = run_sequential(
+        config, scenarios, args.workers, quiet=args.quiet)
+    print(f"sequential studies: {sequential_seconds:.2f}s")
+    shared_suite, suite_seconds = run_suite(
+        config, scenarios, args.workers, quiet=args.quiet)
     print(f"shared-pool suite scheduler: {suite_seconds:.2f}s")
 
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        byte_identical = traces_match(sequential_suite, shared_suite,
+        byte_identical = traces_match(sequential_traces, shared_suite,
                                       Path(scratch))
     speedup = (round(sequential_seconds / suite_seconds, 3)
                if suite_seconds > 0 else float("inf"))
     print(f"speedup {speedup}x, byte_identical={byte_identical}")
     if not byte_identical:
         raise SystemExit(
-            "suite scheduler and sequential engine disagree on trace bytes")
+            "suite scheduler and sequential studies disagree on trace "
+            "bytes")
 
     payload = {
         "benchmark": "suite_scheduler",

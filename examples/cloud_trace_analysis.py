@@ -22,14 +22,15 @@ from repro.analysis import (
     utilization_by_machine,
 )
 from repro.analysis.report import render_table
-from repro.workloads import TraceGenerator, TraceGeneratorConfig
+from repro.runner import run_study
+from repro.workloads import TraceGeneratorConfig
 
 
 def main() -> None:
     total_jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 1500
     print(f"generating a synthetic study trace with {total_jobs} jobs ...")
-    trace = TraceGenerator(TraceGeneratorConfig(total_jobs=total_jobs,
-                                                seed=7)).generate()
+    config = TraceGeneratorConfig(total_jobs=total_jobs, seed=7)
+    trace = run_study(config=config, workers=1, use_cache=False).trace
     summary = trace.summary()
     print(f"trace: {summary['jobs']} jobs, {summary['circuits']} circuits, "
           f"{summary['trials']:.3g} machine trials on {summary['machines']} machines\n")

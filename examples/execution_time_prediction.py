@@ -15,14 +15,15 @@ import numpy as np
 
 from repro.analysis.report import render_table
 from repro.prediction import QueueTimePredictor, RuntimePredictionStudy
-from repro.workloads import TraceGenerator, TraceGeneratorConfig
+from repro.runner import run_study
+from repro.workloads import TraceGeneratorConfig
 
 
 def main() -> None:
     total_jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     print(f"generating a synthetic study trace with {total_jobs} jobs ...")
-    trace = TraceGenerator(TraceGeneratorConfig(total_jobs=total_jobs,
-                                                seed=13)).generate()
+    config = TraceGeneratorConfig(total_jobs=total_jobs, seed=13)
+    trace = run_study(config=config, workers=1, use_cache=False).trace
 
     # --- Fig. 15: per-machine correlations with cumulative feature sets ----------
     study = RuntimePredictionStudy(min_jobs_per_machine=50)

@@ -11,7 +11,7 @@ are re-exported here:
 * transpiler: :func:`~repro.transpiler.transpile`.
 * fidelity: :func:`~repro.fidelity.estimate_success_probability`.
 * cloud: :class:`~repro.cloud.QuantumCloudService`, :class:`~repro.cloud.Job`.
-* workloads: :func:`~repro.workloads.generate_study_trace`.
+* runner: :func:`~repro.runner.run_study` — the study trace.
 * scenarios: :class:`~repro.scenarios.Scenario`,
   :func:`~repro.scenarios.builtin_scenarios`,
   :func:`~repro.scenarios.run_scenarios` — declarative what-if studies.
@@ -24,7 +24,8 @@ from repro.devices import Backend, build_backend, fleet_in_study
 from repro.transpiler import transpile
 from repro.fidelity import estimate_success_probability, compute_cx_metrics
 from repro.cloud import CircuitSpec, Job, QuantumCloudService, circuit_spec_from_circuit
-from repro.workloads import TraceDataset, TraceGenerator, TraceGeneratorConfig, generate_study_trace
+from repro.workloads import TraceDataset, TraceGeneratorConfig
+from repro.runner import run_study
 from repro.prediction import RuntimePredictionStudy, QueueTimePredictor
 from repro.scheduling import MachineSelector, SelectionObjective
 from repro.scenarios import Scenario, builtin_scenarios, run_scenarios
@@ -47,9 +48,8 @@ __all__ = [
     "QuantumCloudService",
     "circuit_spec_from_circuit",
     "TraceDataset",
-    "TraceGenerator",
     "TraceGeneratorConfig",
-    "generate_study_trace",
+    "run_study",
     "RuntimePredictionStudy",
     "QueueTimePredictor",
     "MachineSelector",

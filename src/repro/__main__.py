@@ -107,12 +107,6 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="ignore the trace cache even when --cache-dir is set")
     parser.add_argument(
-        "--engine", choices=("batched", "event"), default="batched",
-        help="simulation core: 'batched' replays machine groups through "
-             "the vectorised fast-sim engine, 'event' drives the reference "
-             "discrete-event loop; traces are byte-identical either way "
-             "(default: %(default)s)")
-    parser.add_argument(
         "--profile-phases", action="store_true",
         help="print the per-phase wall-clock breakdown (plan/transpile/"
              "synthesis/simulation/merge) of every study on stderr; the "
@@ -152,7 +146,6 @@ def _generate(args: argparse.Namespace, quiet: bool = False) -> StudyResult:
         cache_dir=None if args.no_cache else args.cache_dir,
         progress=_progress(quiet),
         use_cache=not args.no_cache,
-        engine=getattr(args, "engine", "batched"),
         transpile_workers=getattr(args, "transpile_workers", None),
     )
     if getattr(args, "profile_phases", False):
@@ -463,11 +456,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
              "each headline metric as mean ± 95%% CI over the replicates "
              "(default: %(default)s)")
     parser.add_argument(
-        "--sequential", action="store_true",
-        help="run scenarios one after another, each on its own worker "
-             "pool (default: the whole suite interleaves on one shared "
-             "pool)")
-    parser.add_argument(
         "--progress", action="store_true", dest="shard_progress",
         help="print shard-level progress (completed/total plus a "
              "wall-clock ETA) while the suite runs")
@@ -559,9 +547,7 @@ def _run_suite(args: argparse.Namespace):
         num_shards=args.shards,
         cache=_scenario_cache_dir(args),
         progress=_progress(args.quiet),
-        suite_scheduling=not args.sequential,
         on_event=_event_printer(args),
-        engine=getattr(args, "engine", "batched"),
         transpile_workers=getattr(args, "transpile_workers", None),
     )
     suite = scenario_engine.run(scenarios, use_cache=not args.no_cache)

@@ -1,31 +1,19 @@
 """A minimal discrete-event simulation engine.
 
 The cloud service schedules job state transitions (validation complete, run
-start, run end) as events on a single global clock.  Two event stores back
-the same :class:`EventQueue` surface:
-
-* a binary heap — the general-purpose default, and
-* a **calendar queue** (bucketed by time, Brown '88) for the common
-  homogeneous-horizon case: when pending events cluster within a known lead
-  time (machine backlogs and run times span minutes to a few days),
-  scheduling is an O(1) append into the bucket of the event's "day" and
-  popping scans forward from the current day, instead of paying the heap's
-  log-N sift on every operation.
-
-Both stores pop in the identical total order — ``(time, sequence)`` with
-deterministic tie-breaking by insertion order — so the engine's behaviour is
-byte-identical whichever store backs it (tested).
+start, run end) as events on a single global clock.  :class:`EventQueue`
+keeps them on a binary heap and pops them in ``(time, sequence)`` order, so
+ties break deterministically by insertion order.
 
 The queue keeps a live count of pending (non-cancelled) events, so
-``len(queue)`` is O(1), and compacts the store whenever cancelled entries
-outnumber live ones, so cancel-heavy runs cannot grow the store unboundedly.
+``len(queue)`` is O(1), and compacts the heap whenever cancelled entries
+outnumber live ones, so cancel-heavy runs cannot grow the heap unboundedly.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -68,139 +56,17 @@ class Event:
             self.owner._note_cancelled()
 
 
-class _HeapStore:
-    """The classic binary-heap event store."""
-
-    def __init__(self):
-        self._heap: List[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def peek_min(self) -> Optional[Event]:
-        return self._heap[0] if self._heap else None
-
-    def pop_min(self) -> Optional[Event]:
-        return heapq.heappop(self._heap) if self._heap else None
-
-    def compact(self) -> int:
-        """Drop cancelled entries; returns how many were removed."""
-        kept = [event for event in self._heap if not event.cancelled]
-        removed = len(self._heap) - len(kept)
-        heapq.heapify(kept)
-        self._heap = kept
-        return removed
-
-
-class CalendarQueue:
-    """A bucketed (calendar) event store for homogeneous event horizons.
-
-    Time is divided into "days" of ``bucket_seconds``; each day maps onto
-    one of ``num_buckets`` sorted buckets (days wrap around the calendar in
-    laps).  An event of the current day is always the global minimum,
-    because any event of a later day is strictly later in time, so popping
-    drains the current day's bucket in sorted order and then advances.  When
-    the calendar is sparse (a whole lap holds nothing eligible) the scan
-    jumps straight to the earliest pending event.
-
-    The bucket count doubles when occupancy exceeds two events per bucket,
-    keeping buckets short as the population grows.
-    """
-
-    def __init__(self, bucket_seconds: float, start_time: float = 0.0,
-                 num_buckets: int = 64):
-        if bucket_seconds <= 0:
-            raise CloudError("bucket_seconds must be positive")
-        if num_buckets < 1:
-            raise CloudError("num_buckets must be at least 1")
-        self._width = float(bucket_seconds)
-        self._buckets: List[List[Event]] = [[] for _ in range(num_buckets)]
-        self._size = 0
-        self._day = int(start_time // self._width)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, event: Event) -> None:
-        day = int(event.time // self._width)
-        if day < self._day:
-            # The scan position had advanced past a lull; fall back so the
-            # earlier event is seen before anything later.
-            self._day = day
-        insort(self._buckets[day % len(self._buckets)], event)
-        self._size += 1
-        if self._size > 2 * len(self._buckets):
-            self._rebuild(2 * len(self._buckets))
-
-    def _rebuild(self, num_buckets: int) -> None:
-        events = [event for bucket in self._buckets for event in bucket]
-        self._buckets = [[] for _ in range(num_buckets)]
-        for event in events:
-            insort(self._buckets[int(event.time // self._width)
-                                 % num_buckets], event)
-
-    def peek_min(self) -> Optional[Event]:
-        if self._size == 0:
-            return None
-        count = len(self._buckets)
-        width = self._width
-        day = self._day
-        for _ in range(count):
-            bucket = self._buckets[day % count]
-            # The bucket is sorted, so its head is its earliest event; it is
-            # eligible only if it belongs to this day (not a later lap).
-            if bucket and int(bucket[0].time // width) == day:
-                self._day = day
-                return bucket[0]
-            day += 1
-        # Sparse calendar: nothing within one lap — jump to the minimum.
-        head = min(bucket[0] for bucket in self._buckets if bucket)
-        self._day = int(head.time // width)
-        return head
-
-    def pop_min(self) -> Optional[Event]:
-        head = self.peek_min()
-        if head is None:
-            return None
-        bucket = self._buckets[int(head.time // self._width)
-                               % len(self._buckets)]
-        bucket.pop(0)
-        self._size -= 1
-        return head
-
-    def compact(self) -> int:
-        """Drop cancelled entries; returns how many were removed."""
-        removed = 0
-        for bucket in self._buckets:
-            kept = [event for event in bucket if not event.cancelled]
-            removed += len(bucket) - len(kept)
-            bucket[:] = kept
-        self._size -= removed
-        return removed
-
-
 class EventQueue:
-    """Time-ordered event queue with a monotonically advancing clock.
+    """Time-ordered event queue with a monotonically advancing clock."""
 
-    Pass ``bucket_seconds`` to back the queue with a :class:`CalendarQueue`
-    sized for that event horizon; without it the queue uses a binary heap.
-    Pop order — and therefore simulation behaviour — is identical either
-    way.
-    """
-
-    def __init__(self, start_time: float = 0.0,
-                 bucket_seconds: Optional[float] = None):
-        self._store = (CalendarQueue(bucket_seconds, start_time)
-                       if bucket_seconds is not None else _HeapStore())
+    def __init__(self, start_time: float = 0.0):
+        self._heap: List[Event] = []
         self._counter = itertools.count()
         self._now = float(start_time)
-        #: live (non-cancelled) events in the store — maintained on
-        #: schedule/cancel/pop so ``len`` never walks the store
+        #: live (non-cancelled) events on the heap — maintained on
+        #: schedule/cancel/pop so ``len`` never walks the heap
         self._pending = 0
-        #: cancelled events still occupying store slots
+        #: cancelled events still occupying heap slots
         self._cancelled = 0
 
     @property
@@ -209,7 +75,7 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Live scheduled events (O(1) — a counter, not a store walk)."""
+        """Live scheduled events (O(1) — a counter, not a heap walk)."""
         return self._pending
 
     def __len__(self) -> int:
@@ -219,10 +85,13 @@ class EventQueue:
         """Event.cancel() hook: move one event from live to cancelled."""
         self._pending -= 1
         self._cancelled += 1
-        # Compact once cancelled entries exceed half the store, so
+        # Compact once cancelled entries exceed half the heap, so
         # cancel-heavy runs cannot grow it unboundedly.
         if self._cancelled > self._pending:
-            self._cancelled -= self._store.compact()
+            self._heap = [event for event in self._heap
+                          if not event.cancelled]
+            heapq.heapify(self._heap)
+            self._cancelled = 0
 
     def schedule(self, time: float, callback: Callable[[], None],
                  label: str = "") -> Event:
@@ -234,7 +103,7 @@ class EventQueue:
             )
         event = Event(time=max(time, self._now), sequence=next(self._counter),
                       callback=callback, label=label, owner=self)
-        self._store.push(event)
+        heapq.heappush(self._heap, event)
         self._pending += 1
         return event
 
@@ -246,24 +115,20 @@ class EventQueue:
 
     def _peek_live(self) -> Optional[Event]:
         """The earliest live event, skimming cancelled entries off the top."""
-        while True:
-            head = self._store.peek_min()
-            if head is None:
-                return None
-            if head.cancelled:
-                self._store.pop_min()
-                self._cancelled -= 1
-                continue
-            return head
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0] if heap else None
 
     def step(self) -> Optional[Event]:
         """Run the next pending event; returns it (or None when empty)."""
         event = self._peek_live()
         if event is None:
             return None
-        self._store.pop_min()
+        heapq.heappop(self._heap)
         self._pending -= 1
-        # A popped event no longer occupies a store slot; cancelling it
+        # A popped event no longer occupies a heap slot; cancelling it
         # later (harmless in itself) must not touch the counters.
         event.owner = None
         self._now = event.time

@@ -30,16 +30,16 @@ without any of that machinery:
   scalar math (the exact operation sequence of the model methods; see the
   invariant notes in :func:`simulate_machine`).
 
-The contract is *byte-identical traces*: for every scenario perturbation
-and any worker/shard count, a study simulated through this engine produces
-the same ``.npz`` bytes as the event-loop engine
-(``tests/test_fastsim_golden.py`` enforces it).
+This is the study runner's only simulation core.  Its contract is
+*byte-identical traces*: for every scenario perturbation and any
+worker/shard count, a study simulated through this engine produces the same
+``.npz`` bytes as the event loop (``tests/test_fastsim_golden.py`` enforces
+it).
 
-The event loop remains the golden reference — and the only engine usable
-for *live* interaction (e.g. :class:`~repro.workloads.generator.
-TraceGenerator`'s queue-sensitive users, which probe the service's pending
-estimate mid-stream); this engine requires the full submission list up
-front.
+The event loop remains the golden reference and the interactive API: a
+:class:`~repro.cloud.service.QuantumCloudService` takes jobs one at a time
+and answers queries between submissions, while this engine requires the
+full submission list up front.
 """
 
 from __future__ import annotations

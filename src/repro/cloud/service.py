@@ -1,8 +1,8 @@
 """The cloud service façade: submission, queueing, execution, completion.
 
 :class:`QuantumCloudService` is the simulated counterpart of the IBM Quantum
-cloud.  Clients (the workload generator, the examples, the schedulers)
-submit :class:`~repro.cloud.job.Job` objects; the service queues them per
+cloud.  Clients (the examples, the schedulers) submit
+:class:`~repro.cloud.job.Job` objects; the service queues them per
 machine under fair-share ordering, delays them behind the machine's external
 backlog, runs them through the execution-time model, and finishes them with
 a DONE / ERROR / CANCELLED status.  Completed jobs retain all the timestamps
@@ -51,13 +51,6 @@ class _MachineState:
     busy_seconds: float = 0.0
 
 
-#: Calendar-queue bucket width of the service's event store: pending events
-#: land within a horizon of minutes (chained dispatches) to a few days
-#: (heavy public-machine backlogs), so quarter-day buckets keep them spread
-#: across the calendar without long empty-bucket scans.
-EVENT_BUCKET_SECONDS = 6 * 3600.0
-
-
 @dataclass(frozen=True)
 class FailureModel:
     """Probabilities of the non-DONE terminal statuses (Fig. 2b)."""
@@ -90,10 +83,7 @@ class QuantumCloudService:
         self.execution_model = execution_model or ExecutionTimeModel()
         self.failure_model = failure_model or FailureModel()
         self._rng = RandomSource(seed, name="cloud_service")
-        # Pending events cluster within a backlog-plus-run-time horizon of
-        # minutes to a few days, the homogeneous-horizon case the calendar
-        # store is built for; pop order is identical to the heap's.
-        self.events = EventQueue(start_time, bucket_seconds=EVENT_BUCKET_SECONDS)
+        self.events = EventQueue(start_time)
         self._machines: Dict[str, _MachineState] = {}
         for name, backend in self.fleet.items():
             shares = {p.name: p.fair_share for p in self.providers.values()}

@@ -14,10 +14,9 @@ exceed their resident-memory budget are stored as *block-manifest
 directories* instead (``trace-<key>.blocks/``: a ``manifest.json`` plus
 one versioned block ``.npz`` per chunk), written and re-served block by
 block so neither ``put`` nor ``get`` ever materialises the whole trace.
-The cache also reads JSON-format entries under the same key (hand-placed
-traces, external tooling); note that *stale-content* invalidation happens
-through the fingerprint itself — entries written by incompatible versions
-live under different keys and simply miss.
+*Stale-content* invalidation happens through the fingerprint itself —
+entries written by incompatible versions live under different keys and
+simply miss.
 """
 
 from __future__ import annotations
@@ -159,16 +158,11 @@ class TraceCache:
         used for traces too large for their resident-bytes budget)."""
         return self.root / f"trace-{key}.blocks"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Where a JSON-format entry for ``key`` would live (the layout the
-        pre-columnar cache used; still read as a fallback)."""
-        return self.root / f"trace-{key}.json"
-
     def existing_path_for(self, key: str) -> Optional[Path]:
         """The on-disk entry a hit for ``key`` would be served from, if any."""
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            if path.is_file():
-                return path
+        path = self.path_for(key)
+        if path.is_file():
+            return path
         manifest_dir = self.manifest_dir_for(key)
         if manifest_dir.is_dir():
             return manifest_dir
@@ -177,11 +171,11 @@ class TraceCache:
     def get(self, key: str, lazy: bool = False) -> Optional[TraceDataset]:
         """The cached trace for ``key``, or None on a miss.
 
-        The ``.npz`` column dump is tried first; a JSON-format entry under
-        the same key is read as a fallback.  A corrupt or unreadable entry
-        (e.g. hand-edited, or truncated mid-write) counts as a miss and
-        will be overwritten by the regenerated trace rather than poisoning
-        every later run.  A *schema-version* mismatch, however, raises
+        The ``.npz`` column dump is tried first, then a block manifest.  A
+        corrupt or unreadable entry (e.g. hand-edited, or truncated
+        mid-write) counts as a miss and will be overwritten by the
+        regenerated trace rather than poisoning every later run.  A
+        *schema-version* mismatch, however, raises
         :class:`~repro.core.exceptions.TraceSchemaError` with the expected
         and found versions and the cache path — an entry written under an
         incompatible layout sitting at the exact key this config hashes to
@@ -198,7 +192,6 @@ class TraceCache:
             (self.path_for(key),
              lambda p: TraceDataset.from_npz(p, lazy=lazy)),
             (manifest_dir, TraceDataset.from_block_manifest),
-            (self.legacy_path_for(key), TraceDataset.from_json),
         ]
         with get_tracer().span("cache.get", study=key):
             for path, loader in candidates:
@@ -312,7 +305,7 @@ class TraceCache:
             name = path.name
             if not name.startswith("trace-"):
                 continue
-            if path.suffix in (".npz", ".json") and path.is_file():
+            if path.suffix == ".npz" and path.is_file():
                 try:
                     stat = path.stat()
                 except OSError:  # evicted by a concurrent pruner mid-scan
@@ -343,16 +336,13 @@ class TraceCache:
         return sum(entry.size_bytes for entry in self.entries())
 
     def evict(self, key: str) -> bool:
-        """Delete the entry for ``key`` (all formats); True if one existed."""
+        """Delete the entry for ``key`` (both formats); True if one existed."""
         evicted = False
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            try:
-                path.unlink()
-                evicted = True
-            except FileNotFoundError:
-                continue
-            except OSError:
-                continue
+        try:
+            self.path_for(key).unlink()
+            evicted = True
+        except OSError:
+            pass
         manifest_dir = self.manifest_dir_for(key)
         if manifest_dir.is_dir():
             shutil.rmtree(manifest_dir, ignore_errors=True)

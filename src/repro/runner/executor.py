@@ -10,9 +10,10 @@ processes, in two embarrassingly parallel stages:
    global job index, so the synthesised jobs are identical for any shard or
    worker count.
 2. **Simulation** — machines are packed into balanced groups and each worker
-   drives its own :class:`~repro.cloud.service.QuantumCloudService` over its
-   sub-fleet.  The service draws from per-machine spawned streams, so the
-   merged per-machine dynamics equal the single-service run exactly.
+   replays its sub-fleet through the batched engine
+   (:func:`~repro.cloud.fastsim.simulate_fleet`).  Every machine draws from
+   its own spawned streams, so the merged per-machine dynamics equal a
+   single whole-fleet simulation exactly.
 
 :func:`run_suite` generalises the same pipeline to *many* studies on one
 :class:`~repro.runner.pool.SharedWorkerPool`.  Scheduling is event-driven:
@@ -213,7 +214,6 @@ class StudyResult:
     timings: Dict[str, float] = field(default_factory=dict)
     shard_sizes: List[int] = field(default_factory=list)
     group_sizes: List[int] = field(default_factory=list)
-    engine: str = "batched"
     #: rank-mode amortisation accounting — ``probes`` (per-job rankings a
     #: naive implementation would each transpile for), ``pairs`` (classes
     #: actually transpiled), ``warm``/``cold`` (served from the transpile
@@ -239,7 +239,6 @@ class StudyResult:
             "workers": self.workers,
             "shards": self.num_shards,
             "cache_hit": self.cache_hit,
-            "engine": self.engine,
             "phase_seconds": {name: round(value, 6)
                               for name, value in sorted(self.timings.items())},
         }
@@ -272,7 +271,6 @@ class _PendingStudy:
     shards: List[ShardSpec]
     started: float
     plan_seconds: float
-    engine: str = "batched"
     #: True when the study's scenario selects machines by batch ranking —
     #: these studies run the extra transpile phase before synthesis
     rank_mode: bool = False
@@ -462,8 +460,7 @@ def _queue_simulations(pool: SharedWorkerPool, epoch: int,
             epoch, study.key, study.config, group,
             [job for name in group.machines
              for job in jobs_by_machine[name]],
-            callback=_on_group_done,
-            engine=study.engine)
+            callback=_on_group_done)
         for group in study.groups
     ]
 
@@ -499,7 +496,6 @@ def run_suite(
     progress: Optional[ProgressCallback] = None,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    engine: str = "batched",
     transpile_workers: Optional[int] = None,
 ) -> Dict[str, StudyResult]:
     """Run many distinct studies as one interleaved queue on a shared pool.
@@ -525,13 +521,6 @@ def run_suite(
     Suite timings are wall-clock *wait* times per phase — they overlap
     across studies, unlike the exclusive per-phase timings of a solo run.
 
-    ``engine`` picks the simulation core for every study of the suite:
-    ``"batched"`` (the default) replays machine groups through the
-    vectorised :mod:`repro.cloud.fastsim` engine, ``"event"`` drives the
-    reference discrete-event loop.  Traces are byte-identical either way,
-    so the choice is a runtime knob only — it does not enter config
-    fingerprints or cache keys.
-
     Rank-mode studies (``scenario.ranking_objective`` set) run an extra
     **transpile** phase first: the study's cold equivalence-class pairs
     are sharded across ``transpile_workers`` pool tasks (default: the pool
@@ -539,19 +528,14 @@ def run_suite(
     :class:`~repro.transpiler.cache.TranspileCache` living in the trace
     cache's directory, and the merged
     :class:`~repro.workloads.transpile_classes.ClassRankTable` ships with
-    every synthesis shard.  Like the engine, sharding and caching here are
-    runtime knobs — the trace is byte-identical with any worker count,
-    cold or warm.
+    every synthesis shard.  Sharding and caching here are runtime knobs —
+    the trace is byte-identical with any worker count, cold or warm.
     """
     keys = [key for key, _ in studies]
     if len(set(keys)) != len(keys):
         raise WorkloadError(
             "run_suite requires distinct study fingerprints; deduplicate "
             "identical configs before scheduling them")
-    if engine not in ("batched", "event"):
-        raise WorkloadError(
-            f"unknown simulation engine {engine!r}; "
-            "expected 'batched' or 'event'")
     progress = progress or (lambda message: None)
     if cache is not None and not isinstance(cache, TraceCache):
         cache = TraceCache(cache)
@@ -561,7 +545,7 @@ def run_suite(
                 studies, transient, num_shards=num_shards, cache=cache,
                 use_cache=use_cache, lazy_cache=lazy_cache,
                 progress=progress, on_event=on_event,
-                should_stop=should_stop, engine=engine,
+                should_stop=should_stop,
                 transpile_workers=transpile_workers)
 
     shards_per_study = max(1, int(num_shards if num_shards is not None
@@ -623,7 +607,6 @@ def run_suite(
                                  "synthesis": 0.0, "simulation": 0.0,
                                  "merge": 0.0,
                                  "total": time.perf_counter() - started},
-                        engine=engine,
                     )
                     continue
             studies_counter.inc()
@@ -638,8 +621,7 @@ def run_suite(
                            is not None),
                 num_submissions=len(submissions),
                 shard_jobs=[None] * len(shards),
-                shards_remaining=len(shards),
-                engine=engine)
+                shards_remaining=len(shards))
             pending.append(study)
             # Note: with an inline pool each submit runs (and may chain the
             # study's later phases) synchronously right here.
@@ -738,8 +720,7 @@ def run_suite(
                      f"in {study.synthesis_seconds:.1f}s")
 
             with tracer.timed("study.simulation", study=study.key,
-                              groups=len(study.groups),
-                              engine=study.engine) as sim_timer:
+                              groups=len(study.groups)) as sim_timer:
                 per_group_columns = [handle.get()
                                      for handle in study.sim_handles]
             study.simulation_seconds = sim_timer.seconds
@@ -787,7 +768,6 @@ def run_suite(
                 },
                 shard_sizes=[len(shard) for shard in study.shards],
                 group_sizes=[group.expected_jobs for group in study.groups],
-                engine=engine,
                 transpile=dict(study.transpile_stats),
             )
             tracker.emit(
@@ -826,12 +806,10 @@ class StudyRunner:
         lazy_cache: bool = False,
         pool: Optional[SharedWorkerPool] = None,
         on_event: Optional[EventCallback] = None,
-        engine: str = "batched",
         transpile_workers: Optional[int] = None,
     ):
         self.config = config or TraceGeneratorConfig()
         self.pool = pool
-        self.engine = engine
         self.transpile_workers = transpile_workers
         default = pool.workers if pool is not None else default_workers()
         self.workers = max(1, int(workers if workers is not None else default))
@@ -864,7 +842,6 @@ class StudyRunner:
                 lazy_cache=self.lazy_cache,
                 progress=self._progress,
                 on_event=self._on_event,
-                engine=self.engine,
                 transpile_workers=self.transpile_workers,
             )
         except BaseException:
@@ -891,7 +868,6 @@ def run_study(
     lazy_cache: bool = False,
     pool: Optional[SharedWorkerPool] = None,
     on_event: Optional[EventCallback] = None,
-    engine: str = "batched",
     transpile_workers: Optional[int] = None,
 ) -> StudyResult:
     """One-call entry point: run a study config through the sharded runner.
@@ -916,7 +892,6 @@ def run_study(
         lazy_cache=lazy_cache,
         pool=pool,
         on_event=on_event,
-        engine=engine,
         transpile_workers=transpile_workers,
     )
     return runner.run(use_cache=use_cache)

@@ -46,7 +46,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cloud.fastsim import simulate_fleet
 from repro.cloud.job import Job
-from repro.cloud.service import QuantumCloudService
 from repro.core.exceptions import WorkloadError
 from repro.runner.sharding import MachineGroup, ShardSpec, TranspileShard
 from repro.telemetry import Tracer, get_registry, get_tracer, set_tracer
@@ -176,30 +175,17 @@ def _transpile_task(payload: Tuple[int, int, str, TraceGeneratorConfig,
 
 
 def _simulate_task(payload: Tuple[int, int, str, TraceGeneratorConfig,
-                                  MachineGroup, Sequence[Job], str]
+                                  MachineGroup, Sequence[Job]]
                    ) -> ShardColumns:
-    epoch, floor, key, config, group, jobs, engine = payload
+    epoch, floor, key, config, group, jobs = payload
     state = _state_for(epoch, floor, key, config)
     fleet = state["fleet"]
     sub_fleet = {name: fleet[name] for name in group.machines}
-    # Both engines replay the identical per-machine state machine from the
-    # identical spawned streams, so the records are byte-for-byte equal
-    # (tests/test_fastsim_golden.py); ``batched`` just gets there without
-    # the event-loop machinery.
-    with get_tracer().span("simulation.group", study=key, engine=engine,
+    with get_tracer().span("simulation.group", study=key,
                            machines=len(group.machines), jobs=len(jobs)):
-        if engine == "batched":
-            ordered = simulate_fleet(
-                sub_fleet, jobs, seed=config.seed,
-                failure_model=config.build_failure_model())
-        else:
-            service = QuantumCloudService(
-                sub_fleet, seed=config.seed,
-                failure_model=config.build_failure_model())
-            ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
-            for job in ordered:
-                service.submit(job)
-            service.drain()
+        ordered = simulate_fleet(
+            sub_fleet, jobs, seed=config.seed,
+            failure_model=config.build_failure_model())
     # Columnarise where the rows were produced: the parent merges typed
     # arrays (vocabulary union + lexsort), never a JobRecord round-trip.
     return ShardColumns.from_records(
@@ -464,19 +450,16 @@ class SharedWorkerPool:
     def submit_simulation(self, epoch: int, key: str,
                           config: TraceGeneratorConfig, group: MachineGroup,
                           jobs: Sequence[Job],
-                          callback: Optional[Callable[[object], None]] = None,
-                          engine: str = "batched"):
+                          callback: Optional[Callable[[object], None]] = None):
         """Queue one machine-group simulation; returns a ``.get()`` handle.
 
-        ``engine`` picks the simulation core: ``"batched"`` (the default)
-        replays the machines through :func:`repro.cloud.fastsim.
-        simulate_fleet`; ``"event"`` drives the reference
-        :class:`~repro.cloud.service.QuantumCloudService` event loop.  The
-        returned columns are byte-identical either way.
+        The worker replays the group's machines through
+        :func:`repro.cloud.fastsim.simulate_fleet` and returns the rows as
+        :class:`~repro.workloads.trace.ShardColumns`.
         """
         return self._submit(
             _simulate_task,
-            (epoch, self._epoch_floor(), key, config, group, jobs, engine),
+            (epoch, self._epoch_floor(), key, config, group, jobs),
             callback=callback, kind="simulation", key=key)
 
     def close(self) -> None:

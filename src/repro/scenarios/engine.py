@@ -10,14 +10,11 @@ simulations of different scenarios interleave on the same workers instead of
 each scenario paying its own pool start-up and serialising behind the
 previous one.  Per-scenario worker state is keyed by config fingerprint, so
 the interleaving cannot change a single byte — a suite run is byte-identical
-to running each scenario through its own sequential runner (tested).
+to one :func:`~repro.runner.executor.run_study` per scenario (tested).
 
 Any scenario whose expanded config was already generated — by a previous
 suite, by a plain ``run-study``, or by an identical sibling scenario — is
-served from the trace cache instead of being re-simulated.  Pass
-``suite_scheduling=False`` to fall back to the per-scenario sequential
-engine (one transient pool per scenario), which is what the suite
-benchmark compares against.
+served from the trace cache instead of being re-simulated.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.runner.executor import (
     EventCallback,
     ProgressCallback,
     StudyResult,
-    StudyRunner,
     run_suite,
 )
 from repro.runner.pool import SharedWorkerPool
@@ -158,16 +154,11 @@ class ScenarioEngine:
         progress: Optional[ProgressCallback] = None,
         lazy_cache: bool = True,
         pool: Optional[SharedWorkerPool] = None,
-        suite_scheduling: bool = True,
         on_event: Optional[EventCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        engine: str = "batched",
         transpile_workers: Optional[int] = None,
     ):
         self.base_config = base_config or TraceGeneratorConfig()
-        #: simulation core every expanded study runs on ("batched"/"event");
-        #: byte-identical traces either way, so not part of cache keys
-        self.engine = engine
         #: transpile-shard count for rank-mode scenarios (None = pool width);
         #: a runtime knob only — traces are identical for any value
         self.transpile_workers = transpile_workers
@@ -178,7 +169,6 @@ class ScenarioEngine:
         self.cache = cache
         self.lazy_cache = lazy_cache
         self.pool = pool
-        self.suite_scheduling = suite_scheduling
         self._progress = progress or (lambda message: None)
         #: structured progress events (shards done/total + ETA) forwarded
         #: to run_suite; the gateway streams these over NDJSON and the CLI
@@ -215,22 +205,12 @@ class ScenarioEngine:
         """Execute every scenario; identical expansions run once.
 
         Sweep templates are expanded into their grid variants first, so the
-        returned suite holds one run per concrete variant.
+        returned suite holds one run per concrete variant.  Every distinct
+        study is scheduled onto one shared pool.
         """
         started = time.perf_counter()
         expansions = self._expansions(scenarios)
         suite = ScenarioSuiteResult(base_config=self.base_config)
-        if self.suite_scheduling:
-            self._run_shared(expansions, suite, use_cache)
-        else:
-            self._run_sequential(expansions, suite, use_cache)
-        suite.total_seconds = time.perf_counter() - started
-        return suite
-
-    # -- the one-pool suite scheduler --------------------------------------------------
-
-    def _run_shared(self, expansions, suite: ScenarioSuiteResult,
-                    use_cache: bool) -> None:
         distinct: Dict[str, TraceGeneratorConfig] = {}
         first_names: Dict[str, str] = {}
         for scenario, config, key in expansions:
@@ -259,7 +239,6 @@ class ScenarioEngine:
                 progress=self._progress,
                 on_event=self._on_event,
                 should_stop=self._should_stop,
-                engine=self.engine,
                 transpile_workers=self.transpile_workers,
             )
         except BaseException:
@@ -277,49 +256,8 @@ class ScenarioEngine:
             suite.runs.append(ScenarioRun(
                 scenario=scenario, config=config, fingerprint=key,
                 result=results[key], deduplicated_from=deduplicated_from))
-
-    # -- the per-scenario sequential engine --------------------------------------------
-
-    def _run_sequential(self, expansions, suite: ScenarioSuiteResult,
-                        use_cache: bool) -> None:
-        executed: Dict[str, Tuple[str, StudyResult]] = {}
-        for scenario, config, key in expansions:
-            previous = executed.get(key)
-            if previous is not None:
-                first_name, result = previous
-                self._progress(
-                    f"scenario {scenario.name!r} expands to the same study "
-                    f"as {first_name!r}; sharing its trace")
-                suite.runs.append(ScenarioRun(
-                    scenario=scenario, config=config, fingerprint=key,
-                    result=result, deduplicated_from=first_name))
-                continue
-            self._progress(
-                f"running scenario {scenario.name!r} ({scenario.describe()})")
-            runner = StudyRunner(
-                config,
-                workers=self.workers,
-                num_shards=self.num_shards,
-                cache=self.cache,
-                progress=self._progress,
-                lazy_cache=self.lazy_cache,
-                # Honour an engine-supplied shared pool even in sequential
-                # mode (scenarios still run one after another, but on the
-                # caller's workers instead of a transient pool each).
-                pool=self.pool,
-                on_event=self._on_event,
-                engine=self.engine,
-                transpile_workers=self.transpile_workers,
-            )
-            result = runner.run(use_cache=use_cache)
-            self._progress(
-                f"scenario {scenario.name!r}: {len(result.trace)} jobs in "
-                f"{result.total_seconds:.1f}s"
-                + (" (cache hit)" if result.cache_hit else ""))
-            executed[key] = (scenario.name, result)
-            suite.runs.append(ScenarioRun(
-                scenario=scenario, config=config, fingerprint=key,
-                result=result))
+        suite.total_seconds = time.perf_counter() - started
+        return suite
 
 
 def run_scenarios(
@@ -333,10 +271,8 @@ def run_scenarios(
     use_cache: bool = True,
     lazy_cache: bool = True,
     pool: Optional[SharedWorkerPool] = None,
-    suite_scheduling: bool = True,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    engine: str = "batched",
     transpile_workers: Optional[int] = None,
 ) -> ScenarioSuiteResult:
     """One-call entry point: run a scenario suite through the shared pool.
@@ -355,10 +291,8 @@ def run_scenarios(
         progress=progress,
         lazy_cache=lazy_cache,
         pool=pool,
-        suite_scheduling=suite_scheduling,
         on_event=on_event,
         should_stop=should_stop,
-        engine=engine,
         transpile_workers=transpile_workers,
     )
     return scenario_engine.run(scenarios, use_cache=use_cache)

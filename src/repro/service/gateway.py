@@ -61,6 +61,7 @@ from repro.service.jobs import (
     CANCELLED,
     DONE,
     FAILED,
+    TERMINAL_STATES,
     JobQuotaExceeded,
     JobRegistry,
     ServiceError,
@@ -218,7 +219,15 @@ class StudyService:
                 if self.registry.closed:
                     return
                 continue
-            self._run_job(job)
+            try:
+                self._run_job(job)
+            except Exception as exc:
+                # _run_job finishes every failure it expects itself; any
+                # other raise (storing or pruning results) must neither
+                # strand the job in ``running`` nor end this thread.
+                if job.state not in TERMINAL_STATES:
+                    self.registry.finish(
+                        job, FAILED, error=f"{type(exc).__name__}: {exc}")
 
     def _run_job(self, job: ServiceJob) -> None:
         try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -130,12 +131,19 @@ class ResultStore:
         return self.root / f"comparison-{key}.json"
 
     def put_comparison(self, key: str, payload: Dict[str, object]) -> Path:
-        """Store a comparison report under its content key (atomic)."""
+        """Store a comparison report under its content key (atomic).
+
+        The report goes to a uuid-suffixed scratch file first, so two
+        threads or processes storing the same key never share one.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.comparison_path_for(key)
-        scratch = path.with_suffix(f".tmp.{os.getpid()}")
-        scratch.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        scratch.replace(path)
+        scratch = path.with_suffix(f".tmp.{uuid.uuid4().hex}")
+        try:
+            scratch.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            scratch.replace(path)
+        finally:
+            scratch.unlink(missing_ok=True)
         self.prune()
         return path
 

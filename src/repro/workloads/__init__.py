@@ -15,8 +15,9 @@ Quantum cloud.  This package synthesises an equivalent dataset:
 * :mod:`repro.workloads.trace` — the NumPy-columnar :class:`TraceDataset`
   (typed per-field arrays, lazy :class:`JobRecord` row views) with
   npz/JSON/CSV round-trip.
-* :mod:`repro.workloads.generator` — drives the cloud simulator to produce
-  the full study trace.
+* :mod:`repro.workloads.generator` — the study config and the deterministic
+  plan / synthesise / record stages that :func:`repro.runner.run_study`
+  runs to produce the full study trace.
 * :mod:`repro.workloads.rowpath` — the row-at-a-time reference data plane
   kept for the golden-equivalence test and the data-plane benchmark.
 """
@@ -37,7 +38,7 @@ from repro.workloads.circuit_metrics import (
 from repro.workloads.compile_model import CompileTimeModel
 from repro.workloads.users import UserProfile, MachineSelectionPolicy, default_user_population
 from repro.workloads.trace import JobRecord, TraceDataset
-from repro.workloads.generator import TraceGenerator, TraceGeneratorConfig, generate_study_trace
+from repro.workloads.generator import TraceGeneratorConfig
 
 __all__ = [
     "WorkloadDistributions",
@@ -55,7 +56,5 @@ __all__ = [
     "default_user_population",
     "JobRecord",
     "TraceDataset",
-    "TraceGenerator",
     "TraceGeneratorConfig",
-    "generate_study_trace",
 ]

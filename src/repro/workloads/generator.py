@@ -1,13 +1,13 @@
-"""The synthetic two-year study trace generator.
+"""The synthetic two-year study workload.
 
-:class:`TraceGenerator` drives the cloud simulator with a workload whose
-scale and marginal distributions match the paper's dataset: ~6000 jobs /
-~600k circuits / billions of shots over 28 months across the machine fleet,
-with exponential demand growth, mixed public/privileged access, and the
-mixed user population of :mod:`repro.workloads.users`.
+The study's workload matches the paper's dataset in scale and marginal
+distributions: ~6000 jobs / ~600k circuits / billions of shots over 28
+months across the machine fleet, with exponential demand growth, mixed
+public/privileged access, and the mixed user population of
+:mod:`repro.workloads.users`.
 
-The generator is split into three deterministic stages so that the parallel
-study runner (:mod:`repro.runner`) can reuse them from worker processes:
+It is built in three deterministic stages, which the parallel study runner
+(:mod:`repro.runner`) runs from worker processes:
 
 * :func:`plan_submissions` — when each job is submitted (pure function of
   the config seed),
@@ -16,19 +16,19 @@ study runner (:mod:`repro.runner`) can reuse them from worker processes:
   does not depend on which shard or process synthesises it),
 * :func:`record_for` — how a completed job becomes a trace row.
 
-The output is a :class:`~repro.workloads.trace.TraceDataset` ready for the
-analysis layer and the per-figure benches.
+:func:`repro.runner.run_study` turns a :class:`TraceGeneratorConfig` into
+the merged :class:`~repro.workloads.trace.TraceDataset` the analysis layer
+and the per-figure benches consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.job import CircuitBatch, Job
-from repro.cloud.service import FailureModel, QuantumCloudService
+from repro.cloud.service import FailureModel
 from repro.core.exceptions import WorkloadError
 from repro.core.rng import RandomSource
 from repro.core.units import DAY_SECONDS
@@ -36,15 +36,10 @@ from repro.devices.backend import Backend
 from repro.devices.calibration import DriftModel
 from repro.devices.catalog import STUDY_MONTHS, fleet_in_study
 from repro.scheduling.policies import SelectionObjective
-from repro.telemetry import get_tracer
 from repro.workloads.circuit_metrics import compiled_metrics
 from repro.workloads.compile_model import CompileTimeModel
 from repro.workloads.distributions import WorkloadDistributions
-from repro.workloads.trace import (
-    TRACE_SCHEMA_VERSION,
-    JobRecord,
-    TraceDataset,
-)
+from repro.workloads.trace import JobRecord
 from repro.workloads.users import (
     MachineSelectionPolicy,
     UserProfile,
@@ -326,8 +321,7 @@ def expected_pending_estimator(
     """A service-free pending-jobs estimator (the external-load expectation).
 
     Queue-sensitive users see the *expected* backlog of each machine, a pure
-    function of the timestamp.  This is what the sharded runner uses: unlike
-    the live-service estimate it does not depend on how many studied jobs
+    function of the timestamp.  It does not depend on how many studied jobs
     happen to sit in the queue of one shard's service, so machine selection
     is identical for every shard layout.
 
@@ -369,18 +363,17 @@ class JobSynthesizer:
     """
 
     def __init__(self, config: TraceGeneratorConfig,
-                 fleet: Dict[str, Backend],
-                 pending_estimator: Optional[PendingEstimator] = None,
+                 fleet: Dict[str, Backend], *,
                  rank_table: Optional["ClassRankTable"] = None):
         self.config = config
         self.fleet = fleet
         self._root = RandomSource(config.seed, name="trace_generator")
-        self._pending = pending_estimator or expected_pending_estimator(fleet)
+        self._pending = expected_pending_estimator(fleet)
         scenario = config.scenario
         if rank_table is None and scenario is not None \
                 and scenario.ranking_objective is not None:
-            # Rank-mode study without a prebuilt table (the single-process
-            # reference path): selections compute class summaries inline.
+            # Rank-mode study synthesised outside the runner, which ships a
+            # prebuilt table: selections compute class summaries inline.
             # Every summary is a pure function, so this is byte-identical
             # to the runner's sharded warm-up — just slower on cold classes.
             from repro.workloads.transpile_classes import ClassRankTable
@@ -562,8 +555,7 @@ def plan_transpile_classes(
     ``circuits`` would each have paid a transpile in a naive per-circuit
     implementation, and ``pairs`` is what the study actually transpiles.
     """
-    synthesizer = JobSynthesizer(config, fleet,
-                                 pending_estimator=lambda backend, t: 0.0)
+    synthesizer = JobSynthesizer(config, fleet)
     pairs = set()
     probes = 0
     jobs = 0
@@ -637,88 +629,3 @@ def record_for(job: Job, fleet: Dict[str, Backend]) -> JobRecord:
         crossed_calibration=crossed,
         user_policy=str(job.metadata.get("user_policy", "unknown")),
     )
-
-
-class TraceGenerator:
-    """Generates the study trace by submitting jobs to the cloud simulator.
-
-    This is the single-process reference path: synthesis and simulation are
-    interleaved against one live :class:`QuantumCloudService`, so
-    queue-sensitive users see the live studied queue on top of the external
-    load.  The parallel runner in :mod:`repro.runner` shards the same
-    synthesis and simulation stages across processes instead.
-
-    Because this path probes the service's pending-jobs estimate
-    *mid-stream*, it always drives the scalar event loop — the batched
-    engine (:mod:`repro.cloud.fastsim`) needs the full submission list up
-    front and is only reachable through the runner's ``engine`` switch.
-    """
-
-    def __init__(self, config: Optional[TraceGeneratorConfig] = None,
-                 fleet: Optional[Dict[str, Backend]] = None,
-                 service: Optional[QuantumCloudService] = None):
-        self.config = config or TraceGeneratorConfig()
-        self.fleet = fleet or self.config.build_fleet()
-        self.service = service or QuantumCloudService(
-            self.fleet, seed=self.config.seed,
-            failure_model=self.config.build_failure_model())
-        self.synthesizer = JobSynthesizer(
-            self.config, self.fleet, pending_estimator=self._live_pending_estimate
-        )
-
-    def _live_pending_estimate(self, backend: Backend, timestamp: float) -> float:
-        return self.service.pending_jobs_estimate(backend.name, timestamp)
-
-    # -- trace generation --------------------------------------------------------------
-
-    def generate(self) -> TraceDataset:
-        """Submit the whole workload and return the completed trace."""
-        config = self.config
-        tracer = get_tracer()
-        submitted_jobs: List[Job] = []
-        # Coarse stage spans only — synthesise() runs per job and must
-        # stay span-free on this hot loop.
-        with tracer.span("generator.synthesis", jobs=config.total_jobs):
-            for planned in plan_submissions(config):
-                job = self.synthesizer.synthesise(planned)
-                if job is None:
-                    continue
-                self.service.submit(job)
-                submitted_jobs.append(job)
-        self.service.drain()
-
-        with tracer.span("generator.columnarise",
-                         jobs=len(submitted_jobs)):
-            records = [record_for(job, self.fleet)
-                       for job in submitted_jobs]
-            dataset = TraceDataset.from_records(records, metadata={
-                "seed": config.seed,
-                "total_jobs": len(records),
-                "months": config.months,
-                "trace_schema": TRACE_SCHEMA_VERSION,
-            })
-        return dataset
-
-
-@lru_cache(maxsize=4)
-def _cached_trace(total_jobs: int, months: int, seed: int) -> TraceDataset:
-    generator = TraceGenerator(TraceGeneratorConfig(
-        total_jobs=total_jobs, months=months, seed=seed
-    ))
-    return generator.generate()
-
-
-def generate_study_trace(total_jobs: int = 6000, months: int = STUDY_MONTHS,
-                         seed: int = 7, use_cache: bool = True) -> TraceDataset:
-    """Generate (or fetch a cached copy of) the full study trace.
-
-    The cache avoids regenerating the same trace for every benchmark figure
-    within one process; callers that mutate the dataset should pass
-    ``use_cache=False``.
-    """
-    if use_cache:
-        return _cached_trace(total_jobs, months, seed)
-    generator = TraceGenerator(TraceGeneratorConfig(
-        total_jobs=total_jobs, months=months, seed=seed
-    ))
-    return generator.generate()

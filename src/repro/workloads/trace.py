@@ -35,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -429,18 +428,11 @@ class TraceDataset:
     """An ordered, columnar collection of :class:`JobRecord` rows.
 
     Construct through :meth:`from_records`, :meth:`from_columns` or
-    :meth:`from_blocks`; calling ``TraceDataset(records)`` directly is a
-    deprecated shim kept for older callers.
+    :meth:`from_blocks`; ``TraceDataset()`` is the empty dataset.
     """
 
-    def __init__(self, records: Optional[Iterable[JobRecord]] = None,
-                 metadata: Optional[Dict[str, object]] = None):
-        if records is not None:
-            warnings.warn(
-                "TraceDataset(records=...) is deprecated; use "
-                "TraceDataset.from_records(...) instead",
-                DeprecationWarning, stacklevel=2)
-        self._init_from_records(list(records or []), metadata)
+    def __init__(self, *, metadata: Optional[Dict[str, object]] = None):
+        self._init_from_records([], metadata)
 
     # -- construction ------------------------------------------------------------------
 

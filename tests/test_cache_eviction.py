@@ -9,6 +9,9 @@ layered on top (comparisons share the byte budget with traces), and the
 
 import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -136,6 +139,44 @@ class TestResultStore:
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(tmp_path, max_bytes=-1)
+
+    def test_concurrent_puts_of_one_key_never_collide(self, tmp_path):
+        """Gateway executor threads store a resubmitted suite's comparison
+        under one key at the same time; no put may lose its scratch file
+        to another writer."""
+        store = ResultStore(tmp_path)
+        deadline = time.monotonic() + 5.0
+        errors = []
+
+        def writer(index):
+            payload = {"comparison_key": "k", "writer": index,
+                       "padding": "x" * 4096}
+            for _ in range(200):
+                if time.monotonic() > deadline:
+                    return
+                try:
+                    store.put_comparison("k", payload)
+                except Exception as exc:
+                    errors.append(exc)
+                    return
+
+        threads = [threading.Thread(target=writer, args=(index,),
+                                    daemon=True)
+                   for index in range(2 * (os.cpu_count() or 1) + 2)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave writers between bytecodes
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stored = json.loads(store.comparison_path_for("k").read_text())
+        assert stored["comparison_key"] == "k"
+        assert not list(tmp_path.glob("*.tmp.*"))
 
 
 class TestCacheCli:

@@ -103,12 +103,10 @@ class TestEventQueue:
         assert queue.run_all() == 1
         assert queue.pending == 0
 
-    @pytest.mark.parametrize("bucket_seconds", [None, 10.0])
-    def test_compaction_keeps_cancel_heavy_store_bounded(self,
-                                                         bucket_seconds):
+    def test_compaction_keeps_cancel_heavy_store_bounded(self):
         """Cancelled entries are compacted away once they outnumber live
-        ones, for both the heap and the calendar store."""
-        queue = EventQueue(bucket_seconds=bucket_seconds)
+        ones."""
+        queue = EventQueue()
         survivors = []
         for i in range(1000):
             event = queue.schedule(float(i + 1), lambda i=i: survivors
@@ -116,40 +114,11 @@ class TestEventQueue:
             if i % 10 != 0:
                 event.cancel()
         # 900 of 1000 were cancelled; compaction must have dropped (most
-        # of) them from the store rather than leaving them as tombstones.
+        # of) them from the heap rather than leaving them as tombstones.
         assert queue.pending == 100
-        assert len(queue._store) < 250
+        assert len(queue._heap) < 250
         queue.run_all()
         assert survivors == [i for i in range(1000) if i % 10 == 0]
-
-    def test_calendar_and_heap_stores_pop_identically(self):
-        """The calendar store replays the exact (time, sequence) total
-        order of the heap store, including ties, cancellations and events
-        scheduled mid-run far outside the initial horizon."""
-        import random
-
-        rng = random.Random(42)
-        times = [round(rng.uniform(0.0, 500.0), 3) for _ in range(300)]
-        times += [times[7], times[91], times[200]]  # exact ties
-
-        def drive(bucket_seconds):
-            queue = EventQueue(bucket_seconds=bucket_seconds)
-            order = []
-            scheduled = []
-            for index, time in enumerate(times):
-                def callback(index=index, queue=queue):
-                    order.append(index)
-                    if index % 50 == 0:
-                        # Chain an event well past the initial horizon.
-                        queue.schedule_after(750.0 + index,
-                                             lambda: order.append(-index))
-                scheduled.append(queue.schedule(time, callback))
-            for index in range(0, len(scheduled), 9):
-                scheduled[index].cancel()
-            queue.run_all()
-            return order
-
-        assert drive(None) == drive(25.0)
 
 
 class TestFifoQueue:

@@ -29,7 +29,7 @@ from repro.workloads.blocks import (
     parse_byte_size,
     set_memory_budget,
 )
-from repro.workloads.generator import TraceGeneratorConfig, TraceGenerator
+from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
 
 CONFIG = dict(total_jobs=120, months=2, seed=19)
@@ -46,7 +46,8 @@ def no_leaked_budget():
 
 @pytest.fixture(scope="module")
 def plain_trace():
-    return TraceGenerator(TraceGeneratorConfig(**CONFIG)).generate()
+    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
+                     use_cache=False).trace
 
 
 def _records(trace):
@@ -261,12 +262,6 @@ class TestCacheManifests:
 
 
 class TestConstructionSurface:
-    def test_positional_constructor_is_deprecated(self, plain_trace):
-        records = list(plain_trace.records)
-        with pytest.warns(DeprecationWarning):
-            shimmed = TraceDataset(records)
-        assert _records(shimmed) == _records(plain_trace)
-
     def test_from_records_does_not_warn(self, plain_trace):
         records = list(plain_trace.records)
         with warnings.catch_warnings():

@@ -16,7 +16,6 @@ from repro.runner.cache import TraceCache, config_fingerprint
 from repro.workloads.generator import (
     JobSynthesizer,
     TraceGeneratorConfig,
-    expected_pending_estimator,
     plan_submissions,
     record_for,
 )
@@ -44,10 +43,8 @@ def fleet(config):
 def golden_jobs(config, fleet):
     """(columnar jobs, rowpath jobs) synthesised from the same plan."""
     plan = plan_submissions(config)
-    columnar = JobSynthesizer(config, fleet,
-                              expected_pending_estimator(fleet))
-    rowpath = RowPathSynthesizer(config, fleet,
-                                 expected_pending_estimator(fleet))
+    columnar = JobSynthesizer(config, fleet)
+    rowpath = RowPathSynthesizer(config, fleet)
     return ([columnar.synthesise(p) for p in plan],
             [rowpath.synthesise(p) for p in plan])
 
@@ -129,14 +126,16 @@ class TestSimulationEquivalence:
 class TestDatasetAndCacheEquivalence:
     def test_columnar_dataset_round_trips_records(self, golden_records):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         assert trace.records == columnar
         assert [trace[i] for i in range(len(trace))] == columnar
 
     def test_npz_round_trip_identical_to_json_path(self, golden_records,
                                                    tmp_path):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         json_path = tmp_path / "trace.json"
         npz_path = tmp_path / "trace.npz"
         trace.to_json(json_path)
@@ -149,7 +148,8 @@ class TestDatasetAndCacheEquivalence:
 
     def test_npz_bytes_deterministic(self, golden_records, tmp_path):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         first = tmp_path / "a.npz"
         second = tmp_path / "b.npz"
         trace.to_npz(first)
@@ -158,8 +158,11 @@ class TestDatasetAndCacheEquivalence:
 
     def test_trace_cache_serves_npz_and_legacy_json(self, golden_records,
                                                     config, tmp_path):
+        """The cache serves its npz entry; a JSON-format trace under the
+        same key (the pre-columnar layout) is no longer read or listed."""
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         cache = TraceCache(tmp_path / "cache")
         key = config_fingerprint(config)
         path = cache.put(key, trace)
@@ -168,9 +171,10 @@ class TestDatasetAndCacheEquivalence:
 
         legacy = TraceCache(tmp_path / "legacy")
         legacy.root.mkdir(parents=True)
-        trace.to_json(legacy.legacy_path_for(key))
-        assert legacy.get(key).records == columnar
-        assert legacy.get_bytes(key) is not None
+        trace.to_json(legacy.root / f"trace-{key}.json")
+        assert legacy.get(key) is None
+        assert legacy.get_bytes(key) is None
+        assert legacy.entries() == []
 
     def test_trace_cache_treats_corrupt_entries_as_misses(self, config,
                                                           tmp_path):
@@ -189,7 +193,7 @@ class TestDatasetAndCacheEquivalence:
 class TestAnalysisEquivalence:
     def test_figure_suites_value_identical(self, golden_records):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar)
+        trace = TraceDataset.from_records(columnar)
         new_suite = trace_figure_suite(trace)
         old_suite = figure_suite_rowpath(columnar)
         assert set(new_suite) == set(old_suite)

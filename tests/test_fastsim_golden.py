@@ -5,8 +5,9 @@ every scenario perturbation and any worker/shard count, a study simulated
 through the batched engine produces the same ``.npz`` bytes as the
 reference discrete-event loop.  These tests pin that contract at three
 levels — the raw engine (terminal job states for any pre-draw block size),
-the sharded runner (npz file bytes, worker/shard invariance) and the
-scenario layer (every builtin catalog perturbation).
+the sharded runner (npz file bytes against the event loop, for one and
+several workers and shards) and the scenario layer (every builtin catalog
+perturbation).
 """
 
 import pytest
@@ -20,7 +21,9 @@ from repro.workloads.generator import (
     JobSynthesizer,
     TraceGeneratorConfig,
     plan_submissions,
+    record_for,
 )
+from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
 CONFIG = dict(total_jobs=90, months=3, seed=23)
 
@@ -42,14 +45,21 @@ def _synthesise(config):
     return fleet, [job for job in jobs if job is not None]
 
 
-def _event_outcomes(config):
+def _event_loop(config):
+    """(fleet, jobs) after the reference event loop ran every job through
+    one QuantumCloudService; jobs in submission order."""
     fleet, jobs = _synthesise(config)
     service = QuantumCloudService(fleet, seed=config.seed,
                                   failure_model=config.build_failure_model())
-    for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
+    ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+    for job in ordered:
         service.submit(job)
     service.drain()
-    return _outcomes(jobs)
+    return fleet, ordered
+
+
+def _event_outcomes(config):
+    return _outcomes(_event_loop(config)[1])
 
 
 def _batched_outcomes(config, block_size):
@@ -100,40 +110,37 @@ def runner_config():
     return TraceGeneratorConfig(**CONFIG)
 
 
+def _event_loop_trace(config):
+    """The study trace the event loop yields in one process: its rows via
+    record_for, with the metadata the runner's merge step writes."""
+    fleet, jobs = _event_loop(config)
+    return TraceDataset.from_records(
+        [record_for(job, fleet) for job in jobs],
+        metadata={"seed": config.seed, "total_jobs": len(jobs),
+                  "months": config.months,
+                  "trace_schema": TRACE_SCHEMA_VERSION})
+
+
+def _assert_runner_matches_event_loop(config, tmp_path, workers, shards):
+    result = run_study(config=config, workers=workers, num_shards=shards,
+                       use_cache=False)
+    assert "simulation" in result.metadata["phase_seconds"]
+    runner_path = tmp_path / "runner.npz"
+    reference_path = tmp_path / "event-loop.npz"
+    result.trace.save(runner_path)
+    _event_loop_trace(config).save(reference_path)
+    assert runner_path.read_bytes() == reference_path.read_bytes()
+
+
 def test_run_study_npz_bytes_identical(runner_config, tmp_path):
-    """The engine switch yields byte-for-byte identical saved traces."""
-    paths = {}
-    for engine in ("event", "batched"):
-        result = run_study(config=runner_config, workers=1, use_cache=False,
-                           engine=engine)
-        assert result.engine == engine
-        assert result.metadata["engine"] == engine
-        assert "simulation" in result.metadata["phase_seconds"]
-        paths[engine] = tmp_path / f"{engine}.npz"
-        result.trace.save(paths[engine])
-    assert paths["batched"].read_bytes() == paths["event"].read_bytes()
+    """One worker, one shard: the runner's npz bytes equal the event loop's."""
+    _assert_runner_matches_event_loop(runner_config, tmp_path, 1, 1)
 
 
 def test_worker_and_shard_counts_do_not_change_bytes(runner_config,
                                                      tmp_path):
-    """Batched engine at 2 workers / 3 shards == event engine at 1 / 1."""
-    reference = run_study(config=runner_config, workers=1, num_shards=1,
-                          use_cache=False, engine="event")
-    sharded = run_study(config=runner_config, workers=2, num_shards=3,
-                        use_cache=False, engine="batched")
-    reference_path = tmp_path / "reference.npz"
-    sharded_path = tmp_path / "sharded.npz"
-    reference.trace.save(reference_path)
-    sharded.trace.save(sharded_path)
-    assert sharded_path.read_bytes() == reference_path.read_bytes()
-
-
-def test_unknown_engine_rejected(runner_config):
-    from repro.core.exceptions import WorkloadError
-
-    with pytest.raises(WorkloadError):
-        run_study(config=runner_config, workers=1, use_cache=False,
-                  engine="warp-drive")
+    """Two workers, three shards: still the event loop's bytes."""
+    _assert_runner_matches_event_loop(runner_config, tmp_path, 2, 3)
 
 
 # -- every builtin scenario perturbation ---------------------------------------------

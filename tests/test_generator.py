@@ -5,12 +5,13 @@ import pytest
 
 from repro.core.exceptions import WorkloadError
 from repro.core.types import JobStatus
-from repro.workloads.generator import (
-    MONTH_SECONDS,
-    TraceGenerator,
-    TraceGeneratorConfig,
-    generate_study_trace,
-)
+from repro.runner import run_study
+from repro.workloads.generator import MONTH_SECONDS, TraceGeneratorConfig
+
+
+def _trace(**knobs):
+    config = TraceGeneratorConfig(**knobs)
+    return run_study(config=config, workers=1, use_cache=False).trace
 
 
 class TestConfig:
@@ -98,29 +99,16 @@ class TestGeneratedTrace:
             assert small_util > large_util
 
     def test_reproducible_for_a_seed(self):
-        config = TraceGeneratorConfig(total_jobs=60, months=6, seed=21)
-        first = TraceGenerator(config).generate()
-        second = TraceGenerator(TraceGeneratorConfig(total_jobs=60, months=6,
-                                                     seed=21)).generate()
+        first = _trace(total_jobs=60, months=6, seed=21)
+        second = _trace(total_jobs=60, months=6, seed=21)
         assert len(first) == len(second)
         assert first.column("machine") == second.column("machine")
         assert np.allclose(first.numeric_column("queue_seconds"),
                            second.numeric_column("queue_seconds"))
 
     def test_different_seeds_differ(self):
-        a = TraceGenerator(TraceGeneratorConfig(total_jobs=60, months=6,
-                                                seed=1)).generate()
-        b = TraceGenerator(TraceGeneratorConfig(total_jobs=60, months=6,
-                                                seed=2)).generate()
+        a = _trace(total_jobs=60, months=6, seed=1)
+        b = _trace(total_jobs=60, months=6, seed=2)
         assert a.column("machine") != b.column("machine") or \
             not np.allclose(a.numeric_column("queue_seconds"),
                             b.numeric_column("queue_seconds"))
-
-    def test_cached_study_trace_reuses_object(self):
-        first = generate_study_trace(total_jobs=50, months=4, seed=33)
-        second = generate_study_trace(total_jobs=50, months=4, seed=33)
-        assert first is second
-        fresh = generate_study_trace(total_jobs=50, months=4, seed=33,
-                                     use_cache=False)
-        assert fresh is not first
-        assert len(fresh) == len(first)

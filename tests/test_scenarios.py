@@ -464,19 +464,6 @@ class TestCommandLine:
         assert all(entry["intervals"]["queue_minutes_median"]["n"] == 2.0
                    for entry in comparison["scenarios"])
 
-    def test_sequential_flag_matches_shared_pool(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        shared = tmp_path / "shared.json"
-        sequential = tmp_path / "sequential.json"
-        base = ["compare-scenarios", *self.ARGS, "--no-cache",
-                "--scenarios", "baseline,demand-surge"]
-        assert main([*base, "--output", str(shared)]) == 0
-        assert main([*base, "--sequential", "--output",
-                     str(sequential)]) == 0
-        load = lambda p: json.loads(p.read_text())["comparison"]  # noqa: E731
-        assert load(shared) == load(sequential)
-
 
 class TestLazyCacheThreading:
     """The one-call entry points must not drop the lazy_cache flag."""

@@ -276,6 +276,40 @@ class TestHttpErrors:
         assert elapsed == sorted(elapsed)
 
 
+class TestExecutorRobustness:
+    def test_failed_result_store_fails_job_and_executor_keeps_serving(
+            self, tmp_path):
+        """A raise after the suite ran (here: storing the comparison) ends
+        the job FAILED, and the only executor thread serves the next job."""
+        service = StudyService(TraceGeneratorConfig(**CONFIG), workers=1,
+                               cache_dir=tmp_path, executors=1)
+        real_put = service.store.put_comparison
+        failures = []
+
+        def put_fails_once(key, payload):
+            if not failures:
+                failures.append(key)
+                raise OSError("No space left on device")
+            return real_put(key, payload)
+
+        service.store.put_comparison = put_fails_once
+        service.start()
+        try:
+            payload = {"scenarios": ["baseline"]}
+            first = service.registry.submit("acme", payload)
+            assert first.wait(timeout=60), "job stuck in " + first.state
+            assert first.state == "failed"
+            assert "No space left on device" in first.error
+
+            second = service.registry.submit("acme", payload)
+            assert second.wait(timeout=60), "job stuck in " + second.state
+            assert second.state == "done"
+            assert service.store.get_comparison(
+                second.result["comparison_key"]) is not None
+        finally:
+            service.stop()
+
+
 class TestRegistrySemantics:
     """Quota, fairness and cancellation — deterministic, no executors."""
 

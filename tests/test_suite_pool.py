@@ -2,7 +2,7 @@
 
 Covers the determinism contract of :class:`~repro.runner.pool.
 SharedWorkerPool` / :func:`~repro.runner.executor.run_suite` (a suite run
-is byte-identical to per-scenario sequential runs for any worker/shard
+is byte-identical to one ``run_study`` per scenario for any worker/shard
 count), seed-replicate fingerprints, sweep expansion, and the failure-path
 hygiene of the trace cache and the pool.
 """
@@ -48,11 +48,13 @@ def base_config():
 
 
 @pytest.fixture(scope="module")
-def sequential_suite(base_config):
-    """The per-scenario sequential reference every suite run must match."""
-    engine = ScenarioEngine(base_config, workers=1, num_shards=1,
-                            suite_scheduling=False)
-    return engine.run(resolve_scenarios(SUITE_NAMES), use_cache=False)
+def solo_traces(base_config):
+    """The reference every suite run must match: one single-worker
+    ``run_study`` per scenario, keyed by scenario name."""
+    return {scenario.name: run_study(config=scenario.apply_to(base_config),
+                                     workers=1, num_shards=1,
+                                     use_cache=False).trace
+            for scenario in resolve_scenarios(SUITE_NAMES)}
 
 
 def _trace_bytes(tmp_path, tag, trace):
@@ -68,7 +70,7 @@ def _exploding_task(payload):
 class TestSuiteDeterminism:
     @pytest.mark.parametrize("workers,num_shards", [(1, 1), (2, 4), (2, 2)])
     def test_suite_byte_identical_to_sequential(
-            self, base_config, sequential_suite, tmp_path, workers,
+            self, base_config, solo_traces, tmp_path, workers,
             num_shards):
         engine = ScenarioEngine(base_config, workers=workers,
                                 num_shards=num_shards)
@@ -77,7 +79,7 @@ class TestSuiteDeterminism:
             ours = _trace_bytes(tmp_path, f"suite-{workers}-{name}",
                                 suite.run_for(name).trace)
             reference = _trace_bytes(tmp_path, f"seq-{workers}-{name}",
-                                     sequential_suite.run_for(name).trace)
+                                     solo_traces[name])
             assert ours == reference, name
 
     def test_run_suite_matches_solo_studies(self, base_config, tmp_path):
@@ -140,20 +142,6 @@ class TestSuiteDeterminism:
         epochs = {epoch for epoch, _ in pool_module._STATE}
         assert len(epochs) <= 1
         assert len(pool_module._STATE) <= 1
-
-    def test_sequential_engine_uses_the_supplied_pool(self, base_config):
-        submissions = []
-
-        class RecordingPool(SharedWorkerPool):
-            def submit_synthesis(self, *args, **kwargs):
-                submissions.append("synthesis")
-                return super().submit_synthesis(*args, **kwargs)
-
-        pool = RecordingPool(1)
-        engine = ScenarioEngine(base_config, pool=pool,
-                                suite_scheduling=False)
-        engine.run(resolve_scenarios(("baseline",)), use_cache=False)
-        assert submissions  # the scenario ran on the caller's pool
 
 
 class TestReplicates:
@@ -337,12 +325,11 @@ class TestFailurePaths:
             MachineOutage("ibmqx2", first_month=0, last_month=1),))
         shared = ScenarioEngine(base_config, workers=2, num_shards=3).run(
             [scenario], use_cache=False)
-        solo = ScenarioEngine(base_config, workers=1, num_shards=1,
-                              suite_scheduling=False).run(
-            [scenario], use_cache=False)
+        solo = run_study(config=scenario.apply_to(base_config), workers=1,
+                         num_shards=1, use_cache=False)
         assert _trace_bytes(tmp_path, "shared",
                             shared.run_for("outage").trace) == \
-            _trace_bytes(tmp_path, "solo", solo.run_for("outage").trace)
+            _trace_bytes(tmp_path, "solo", solo.trace)
 
 
 class TestSuiteEvents:
