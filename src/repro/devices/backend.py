@@ -73,6 +73,12 @@ class Backend:
         """Calibration snapshot effective at ``timestamp``."""
         return self.calibration_model.snapshot_at(timestamp, apply_drift=apply_drift)
 
+    def average_cx_error_at(self, timestamp: float) -> float:
+        """``calibration_at(timestamp, apply_drift=False).average_cx_error()``
+        without building the snapshot."""
+        return self.calibration_model.average_cx_error(
+            self.calibration_model.epoch_for_time(timestamp))
+
     def is_online_in_month(self, month_index: int) -> bool:
         """Whether the machine was part of the fleet in a given study month."""
         if month_index < self.online_since_month:

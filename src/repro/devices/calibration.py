@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.exceptions import DeviceError
 from repro.core.rng import RandomSource
 from repro.core.units import DAY_SECONDS, HOUR_SECONDS
-from repro.devices.topology import CouplingMap
+from repro.devices.topology import CouplingMap, Edge
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,7 @@ class CalibrationModel:
         self.drift = drift or DriftModel()
         self._rng_root = RandomSource(seed, name=f"calibration/{machine}")
         self._snapshot_cache: Dict[int, CalibrationSnapshot] = {}
+        self._cx_error_cache: Dict[int, float] = {}
 
     # -- epoch arithmetic ----------------------------------------------------------
 
@@ -253,9 +254,8 @@ class CalibrationModel:
         cached = self._snapshot_cache.get(epoch)
         if cached is not None:
             return cached
-        rng = self._rng_root.child("epoch", epoch)
+        rng, daily_factor = self._epoch_stream(epoch)
         profile = self.profile
-        daily_factor = rng.lognormal(0.0, profile.daily_jitter_sigma)
         readout_factor = rng.lognormal(0.0, profile.daily_jitter_sigma * 0.6)
         coherence_factor = rng.lognormal(0.0, profile.daily_jitter_sigma * 0.4)
 
@@ -290,16 +290,11 @@ class CalibrationModel:
             )
 
         gates: Dict[Tuple[int, int], GateCalibration] = {}
-        for a, b in self.coupling_map.edges:
-            edge_rng = rng.child("edge", a, b)
-            error = _bounded_lognormal(
-                edge_rng, profile.median_cx_error * daily_factor,
-                profile.cx_error_cov, upper=0.6
-            )
+        for edge, edge_rng, error in self._edge_errors(rng, daily_factor):
             duration = _positive_lognormal(
                 edge_rng, profile.cx_duration_ns, 0.15
             )
-            gates[(a, b)] = GateCalibration(error=error, duration_ns=duration)
+            gates[edge] = GateCalibration(error=error, duration_ns=duration)
 
         snapshot = CalibrationSnapshot(
             machine=self.machine,
@@ -310,6 +305,39 @@ class CalibrationModel:
         )
         self._snapshot_cache[epoch] = snapshot
         return snapshot
+
+    def average_cx_error(self, epoch: int) -> float:
+        """``snapshot_for_epoch(epoch).average_cx_error()``, memoised.
+
+        Draws only the epoch's daily factor and each edge's error, the
+        same values in the same per-stream order as the snapshot, so the
+        two are equal to the last bit without building qubits, gate
+        durations or dataclasses.
+        """
+        cached = self._cx_error_cache.get(epoch)
+        if cached is None:
+            errors = [error for _, _, error
+                      in self._edge_errors(*self._epoch_stream(epoch))]
+            cached = sum(errors) / len(errors) if errors else 0.0
+            self._cx_error_cache[epoch] = cached
+        return cached
+
+    def _epoch_stream(self, epoch: int) -> Tuple[RandomSource, float]:
+        """The epoch's stream and its first draw, the daily error factor."""
+        rng = self._rng_root.child("epoch", epoch)
+        return rng, rng.lognormal(0.0, self.profile.daily_jitter_sigma)
+
+    def _edge_errors(self, rng: RandomSource, daily_factor: float
+                     ) -> Iterator[Tuple[Edge, RandomSource, float]]:
+        """Each coupling edge, its stream and its CX error (the stream's
+        first draw), in ``coupling_map.edges`` order."""
+        profile = self.profile
+        for edge in self.coupling_map.edges:
+            edge_rng = rng.child("edge", *edge)
+            yield edge, edge_rng, _bounded_lognormal(
+                edge_rng, profile.median_cx_error * daily_factor,
+                profile.cx_error_cov, upper=0.6
+            )
 
     def snapshot_at(self, timestamp: float,
                     apply_drift: bool = True) -> CalibrationSnapshot:

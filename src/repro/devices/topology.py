@@ -40,6 +40,7 @@ class CouplingMap:
                     f"edge ({a}, {b}) out of range for {num_qubits} qubits"
                 )
             self._graph.add_edge(int(a), int(b))
+        self._edges = sorted(tuple(sorted(edge)) for edge in self._graph.edges)
         self._distance_cache: Optional[Dict[int, Dict[int, int]]] = None
 
     # -- basic structure -----------------------------------------------------------
@@ -50,7 +51,7 @@ class CouplingMap:
 
     @property
     def edges(self) -> List[Edge]:
-        return sorted(tuple(sorted(edge)) for edge in self._graph.edges)
+        return list(self._edges)
 
     @property
     def num_edges(self) -> int:

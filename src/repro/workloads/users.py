@@ -68,7 +68,7 @@ class UserProfile:
             return min(
                 backends,
                 key=lambda b: (
-                    b.calibration_at(timestamp, apply_drift=False).average_cx_error()
+                    b.average_cx_error_at(timestamp)
                     if not b.is_simulator else 0.0,
                     b.name,
                 ),
@@ -87,8 +87,7 @@ class UserProfile:
             pending = pending_estimate or {}
             errors = {
                 b.name: (0.0 if b.is_simulator else
-                         b.calibration_at(timestamp,
-                                          apply_drift=False).average_cx_error())
+                         b.average_cx_error_at(timestamp))
                 for b in backends
             }
             waits = {

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.exceptions import DeviceError
+from repro.core.rng import RandomSource
 from repro.core.units import DAY_SECONDS, HOUR_SECONDS
+from repro.devices import fleet_in_study
 from repro.devices.calibration import (
     CalibrationModel,
     DriftModel,
@@ -98,6 +100,58 @@ class TestCalibrationModel:
     def test_invalid_period_rejected(self):
         with pytest.raises(DeviceError):
             CalibrationModel("bad", line_topology(2), calibration_period=0)
+
+
+#: Epochs spread over the 28-month study window (one epoch per day).
+STUDY_EPOCHS = (0, 1, 2, 45, 137, 300, 455, 611, 777, 851)
+
+
+class TestAverageCxError:
+    """The per-epoch scalar equals the snapshot's average exactly."""
+
+    def test_equals_snapshot_average_on_every_study_machine(self):
+        # Scalar first on one fresh fleet, snapshot first on another, so
+        # neither comparison can lean on the other path's memo.
+        scalar_first = fleet_in_study(seed=7)
+        snapshot_first = fleet_in_study(seed=7)
+        assert {"ibmq_armonk", "ibmq_qasm_simulator"} <= set(scalar_first)
+        for name in scalar_first:
+            a = scalar_first[name].calibration_model
+            b = snapshot_first[name].calibration_model
+            for epoch in STUDY_EPOCHS:
+                scalar = a.average_cx_error(epoch)
+                average = b.snapshot_for_epoch(epoch).average_cx_error()
+                assert scalar == average, (name, epoch)
+                assert a.snapshot_for_epoch(epoch).average_cx_error() == scalar
+                assert b.average_cx_error(epoch) == average
+
+    def test_machine_without_edges_reads_zero(self):
+        armonk = fleet_in_study(seed=7)["ibmq_armonk"]
+        assert armonk.coupling_map.num_edges == 0
+        assert armonk.calibration_model.average_cx_error(3) == 0.0
+
+    def test_memoised_per_epoch(self, model, monkeypatch):
+        first = model.average_cx_error(4)
+        monkeypatch.setattr(RandomSource, "child", lambda *args: pytest.fail(
+            "a memoised epoch derived a stream again"))
+        assert model.average_cx_error(4) == first
+
+    def test_backend_reads_the_epoch_of_a_timestamp(self):
+        fleet = fleet_in_study(seed=7)
+        for backend in (fleet["ibmq_casablanca"], fleet["ibmq_manhattan"]):
+            model = backend.calibration_model
+            for epoch in (0, 300):
+                start = model.epoch_start(epoch)
+                for timestamp in (start, start + 20 * HOUR_SECONDS):
+                    assert backend.average_cx_error_at(timestamp) == \
+                        backend.calibration_at(
+                            timestamp, apply_drift=False).average_cx_error()
+
+    def test_snapshot_unchanged_by_the_scalar(self, model):
+        reference = CalibrationModel(
+            machine="testq", coupling_map=falcon_topology(7), seed=5)
+        model.average_cx_error(2)
+        assert model.snapshot_for_epoch(2) == reference.snapshot_for_epoch(2)
 
 
 class TestDriftModel:

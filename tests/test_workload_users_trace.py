@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.exceptions import WorkloadError
 from repro.core.rng import RandomSource
+from repro.core.units import DAY_SECONDS, HOUR_SECONDS
+from repro.devices import fleet_in_study
 from repro.workloads.trace import JobRecord, TraceDataset
 from repro.workloads.users import (
     MachineSelectionPolicy,
@@ -45,6 +47,28 @@ class TestUserProfiles:
             for b in eligible
         }
         assert errors[chosen.name] == min(errors.values())
+
+    def test_balanced_policy_matches_snapshot_ranking(self):
+        """BALANCED ranks by the per-epoch scalar; without the simulator
+        (always the lowest error) its choice must be the one full
+        snapshots of a second fleet give."""
+        fleet = fleet_in_study(seed=7)
+        reference = fleet_in_study(seed=7)
+        profile = UserProfile("u", MachineSelectionPolicy.BALANCED)
+        eligible = [b for b in fleet.values() if not b.is_simulator]
+        waits = {b.name: float(i % 4 + 1) for i, b in enumerate(eligible)}
+        for day in (0, 90, 400, 800):
+            timestamp = day * DAY_SECONDS + 3 * HOUR_SECONDS
+            chosen = profile.select_machine(eligible, RandomSource(1),
+                                            timestamp=timestamp,
+                                            pending_estimate=waits)
+            errors = {name: reference[name].calibration_at(
+                timestamp, apply_drift=False).average_cx_error()
+                for name in waits}
+            max_error, max_wait = max(errors.values()), max(waits.values())
+            expected = min(waits, key=lambda n: (
+                0.6 * errors[n] / max_error + 0.4 * waits[n] / max_wait, n))
+            assert chosen.name == expected, day
 
     def test_least_queue_policy_uses_estimates(self, fleet):
         profile = UserProfile("u", MachineSelectionPolicy.LEAST_QUEUE)
