@@ -197,6 +197,10 @@ class CalibrationProfile:
     #: day-to-day multiplicative jitter on the machine-wide averages
     daily_jitter_sigma: float = 0.28
 
+    def __post_init__(self):
+        if not self.median_cx_error >= 0:
+            raise DeviceError("median_cx_error must be non-negative")
+
 
 class CalibrationModel:
     """Generates daily calibration snapshots for one machine.
@@ -321,6 +325,17 @@ class CalibrationModel:
             cached = sum(errors) / len(errors) if errors else 0.0
             self._cx_error_cache[epoch] = cached
         return cached
+
+    @property
+    def cx_error_is_zero(self) -> bool:
+        """Whether :meth:`average_cx_error` reads exactly 0.0 at every epoch.
+
+        True for a machine without coupling edges or with a zero median CX
+        error, and decided without deriving a stream.  Any other machine
+        reads a positive average at every epoch: each of its edges draws
+        ``min(0.6, median * daily * exp(sigma * z))`` with a positive median.
+        """
+        return not self.coupling_map.edges or self.profile.median_cx_error == 0.0
 
     def _epoch_stream(self, epoch: int) -> Tuple[RandomSource, float]:
         """The epoch's stream and its first draw, the daily error factor."""

@@ -232,10 +232,14 @@ class TraceGeneratorConfig:
         total_weight = sum(weights)
         counts = [int(round(self.total_jobs * w / total_weight))
                   for w in weights]
-        # Fix rounding drift on the busiest month.
-        drift = self.total_jobs - sum(counts)
-        counts[-1] += drift
-        counts = [max(0, c) for c in counts]
+        # Fix rounding drift on the busiest month.  A surplus larger than
+        # that month's count comes off the preceding months, latest first.
+        counts[-1] += self.total_jobs - sum(counts)
+        month = len(counts) - 1
+        while counts[month] < 0:
+            counts[month - 1] += counts[month]
+            counts[month] = 0
+            month -= 1
         multipliers = (None if self.scenario is None
                        else self.scenario.demand_multipliers(self.months))
         if multipliers is None:
@@ -489,9 +493,13 @@ class JobSynthesizer:
         rng, user, privileged, family, width, eligible = prefix
         provider = "academic-hub" if privileged else "open"
 
-        pending_estimate = {
-            b.name: self._pending(b, submit_time) for b in eligible
-        }
+        # Built only for the selections that read it; the estimator draws
+        # nothing, so skipping it changes no stream.
+        pending_estimate = None
+        if self.rank_table is not None or user.policy.reads_pending:
+            pending_estimate = {
+                b.name: self._pending(b, submit_time) for b in eligible
+            }
         if self.rank_table is not None:
             # Rank mode: every user selects through the batch-ranked
             # equivalence-class table (the full MachineSelector algebra)

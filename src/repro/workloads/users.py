@@ -29,6 +29,12 @@ class MachineSelectionPolicy(enum.Enum):
     BALANCED = "balanced"              # weighted fidelity/queue trade-off
     RANDOM = "random"                  # uniformly random eligible machine
 
+    @property
+    def reads_pending(self) -> bool:
+        """Whether selection reads the expected pending-job estimate."""
+        return self in (MachineSelectionPolicy.LEAST_QUEUE,
+                        MachineSelectionPolicy.BALANCED)
+
 
 @dataclass(frozen=True)
 class UserProfile:
@@ -65,13 +71,16 @@ class UserProfile:
             candidates = [b for b in backends if b.num_qubits == smallest]
             return rng.choice(candidates)
         if self.policy is MachineSelectionPolicy.BEST_FIDELITY:
+            # The argmin of (CX error, name), where a simulator scores 0.0.
+            # Every machine that cannot read 0.0 reads a positive error, so
+            # the lowest-named zero-error machine wins without a probe.
+            zero_error = [b for b in backends if b.is_simulator
+                          or b.calibration_model.cx_error_is_zero]
+            if zero_error:
+                return min(zero_error, key=lambda b: b.name)
             return min(
                 backends,
-                key=lambda b: (
-                    b.average_cx_error_at(timestamp)
-                    if not b.is_simulator else 0.0,
-                    b.name,
-                ),
+                key=lambda b: (b.average_cx_error_at(timestamp), b.name),
             )
         if self.policy is MachineSelectionPolicy.LEAST_QUEUE:
             pending = pending_estimate or {}

@@ -8,6 +8,7 @@ from repro.core.units import DAY_SECONDS, HOUR_SECONDS
 from repro.devices import fleet_in_study
 from repro.devices.calibration import (
     CalibrationModel,
+    CalibrationProfile,
     DriftModel,
     GateCalibration,
     QubitCalibration,
@@ -129,6 +130,28 @@ class TestAverageCxError:
         armonk = fleet_in_study(seed=7)["ibmq_armonk"]
         assert armonk.coupling_map.num_edges == 0
         assert armonk.calibration_model.average_cx_error(3) == 0.0
+
+    def test_zero_error_predicate_matches_the_scalar(self):
+        fleet = fleet_in_study(seed=7)
+        assert len(fleet) == 28
+        zero = {name for name, backend in fleet.items()
+                if backend.calibration_model.cx_error_is_zero}
+        assert zero == {"ibmq_armonk"}
+        flat = CalibrationModel(
+            machine="flat", coupling_map=falcon_topology(7),
+            profile=CalibrationProfile(median_cx_error=0.0), seed=5)
+        assert flat.coupling_map.edges and flat.cx_error_is_zero
+        models = [b.calibration_model for b in fleet.values()] + [flat]
+        for model in models:
+            for epoch in STUDY_EPOCHS:
+                assert model.cx_error_is_zero == (
+                    model.average_cx_error(epoch) == 0.0), (model.machine,
+                                                            epoch)
+
+    @pytest.mark.parametrize("median", [-1e-3, float("nan")])
+    def test_median_cx_error_must_be_non_negative(self, median):
+        with pytest.raises(DeviceError):
+            CalibrationProfile(median_cx_error=median)
 
     def test_memoised_per_epoch(self, model, monkeypatch):
         first = model.average_cx_error(4)

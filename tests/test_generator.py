@@ -6,7 +6,14 @@ import pytest
 from repro.core.exceptions import WorkloadError
 from repro.core.types import JobStatus
 from repro.runner import run_study
-from repro.workloads.generator import MONTH_SECONDS, TraceGeneratorConfig
+from repro.workloads.generator import (
+    MONTH_SECONDS,
+    JobSynthesizer,
+    TraceGeneratorConfig,
+    plan_submissions,
+)
+from repro.workloads.transpile_classes import ClassRankTable
+from repro.workloads.users import MachineSelectionPolicy, UserProfile
 
 
 def _trace(**knobs):
@@ -16,10 +23,15 @@ def _trace(**knobs):
 
 class TestConfig:
     def test_monthly_counts_sum_to_total(self):
-        config = TraceGeneratorConfig(total_jobs=500, months=10, growth_ratio=8.0)
-        counts = config.jobs_per_month()
-        assert sum(counts) == 500
-        assert len(counts) == 10
+        # The last three overshoot by more than the last month holds.
+        for total_jobs, months, growth_ratio in [
+                (500, 10, 8.0), (42, 28, 1.0), (3, 5, 1.0), (6, 8, 2.0)]:
+            config = TraceGeneratorConfig(total_jobs=total_jobs, months=months,
+                                          growth_ratio=growth_ratio)
+            counts = config.jobs_per_month()
+            assert sum(counts) == total_jobs, counts
+            assert len(counts) == months
+            assert min(counts) >= 0, counts
 
     def test_monthly_counts_grow(self):
         config = TraceGeneratorConfig(total_jobs=2000, months=12, growth_ratio=10.0)
@@ -33,6 +45,69 @@ class TestConfig:
             TraceGeneratorConfig(months=0)
         with pytest.raises(WorkloadError):
             TraceGeneratorConfig(growth_ratio=0)
+
+
+class _FirstMachineTable(ClassRankTable):
+    """A rank table that picks the first eligible machine, transpiling
+    nothing, and keeps every pending estimate it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.estimates = []
+
+    def select(self, family, width, eligible, pending_estimate=None):
+        self.estimates.append(pending_estimate)
+        return eligible[0]
+
+
+class TestPendingEstimate:
+    """Synthesis computes the expected pending load only for the
+    selections that read it."""
+
+    CONFIG = TraceGeneratorConfig(
+        total_jobs=150, months=2, seed=7,
+        users=[UserProfile(policy.value, policy)
+               for policy in MachineSelectionPolicy])
+
+    @staticmethod
+    def _probes_per_job(synthesizer):
+        """Synthesise every planned job; map each to its estimator calls."""
+        calls = []
+        estimator = synthesizer._pending
+
+        def counting(backend, timestamp):
+            calls.append(backend.name)
+            return estimator(backend, timestamp)
+
+        synthesizer._pending = counting
+        probes = {}
+        for planned in plan_submissions(synthesizer.config):
+            calls.clear()
+            job = synthesizer.synthesise(planned)
+            probes[job.job_id] = (job, len(calls))
+        return probes
+
+    def test_only_queue_sensitive_policies_run_the_estimator(self):
+        config = self.CONFIG
+        probes = self._probes_per_job(
+            JobSynthesizer(config, config.build_fleet()))
+        readers = {MachineSelectionPolicy.LEAST_QUEUE,
+                   MachineSelectionPolicy.BALANCED}
+        seen = set()
+        for job, count in probes.values():
+            policy = MachineSelectionPolicy(job.metadata["user_policy"])
+            seen.add(policy)
+            assert (count > 0) == (policy in readers), (job.job_id, policy)
+        assert seen == set(MachineSelectionPolicy)
+
+    def test_rank_mode_runs_the_estimator_for_every_job(self):
+        config = self.CONFIG
+        table = _FirstMachineTable()
+        probes = self._probes_per_job(
+            JobSynthesizer(config, config.build_fleet(), rank_table=table))
+        assert len(table.estimates) == len(probes)
+        for (_, count), estimate in zip(probes.values(), table.estimates):
+            assert count == len(estimate) > 0
 
 
 class TestGeneratedTrace:

@@ -24,6 +24,7 @@ from repro.transpiler.passes import (
     StochasticSwap,
     Unroll3qOrMore,
 )
+from repro.workloads.generator import TraceGeneratorConfig
 
 # Strategy: small random circuits described by a seed and size bounds.
 circuit_strategy = st.builds(
@@ -218,3 +219,17 @@ class TestFairShareProperties:
             queue.record_usage(job.provider, 10.0)
             popped.append(job)
         assert {j.job_id for j in popped} == {j.job_id for j in pushed}
+
+
+class TestWorkloadPlanProperties:
+    @given(total_jobs=st.integers(min_value=1, max_value=600),
+           months=st.integers(min_value=1, max_value=28),
+           growth_ratio=st.floats(min_value=0.05, max_value=50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_monthly_counts_sum_to_total(self, total_jobs, months,
+                                         growth_ratio):
+        counts = TraceGeneratorConfig(
+            total_jobs=total_jobs, months=months,
+            growth_ratio=growth_ratio).jobs_per_month()
+        assert sum(counts) == total_jobs
+        assert all(count >= 0 for count in counts)

@@ -38,15 +38,48 @@ class TestUserProfiles:
         chosen = profile.select_machine(eligible, RandomSource(1))
         assert chosen.name == "ibmq_athens"
 
-    def test_best_fidelity_policy_picks_lowest_error(self, fleet):
+    def test_best_fidelity_policy_picks_lowest_error(self):
+        """The choice is the (CX error, name) argmin that full snapshots of
+        a second fleet give, with a simulator scored 0.0."""
+        fleet = fleet_in_study(seed=7)
+        reference = fleet_in_study(seed=7)
+        edged = [name for name, b in fleet.items()
+                 if not b.is_simulator and b.coupling_map.edges]
         profile = UserProfile("u", MachineSelectionPolicy.BEST_FIDELITY)
-        eligible = [fleet["ibmqx2"], fleet["ibmq_santiago"]]
-        chosen = profile.select_machine(eligible, RandomSource(1), timestamp=0.0)
-        errors = {
-            b.name: b.calibration_at(0.0, apply_drift=False).average_cx_error()
-            for b in eligible
-        }
-        assert errors[chosen.name] == min(errors.values())
+        for names in [
+                ["ibmqx2", "ibmq_santiago"],
+                ["ibmqx2", "ibmq_santiago", "ibmq_qasm_simulator"],
+                ["ibmq_santiago", "ibmq_qasm_simulator", "ibmq_armonk"],
+                ["ibmq_casablanca", "ibmq_armonk", "ibmq_manhattan"],
+                edged]:
+            eligible = [fleet[name] for name in names]
+            for day in (0, 90, 400, 800):
+                timestamp = day * DAY_SECONDS + 3 * HOUR_SECONDS
+                chosen = profile.select_machine(eligible, RandomSource(1),
+                                                timestamp=timestamp)
+                errors = {name: 0.0 if reference[name].is_simulator else
+                          reference[name].calibration_at(
+                              timestamp, apply_drift=False).average_cx_error()
+                          for name in names}
+                expected = min(names, key=lambda n: (errors[n], n))
+                assert chosen.name == expected, (names, day)
+
+    @pytest.mark.parametrize("zero_error", ["ibmq_qasm_simulator",
+                                            "ibmq_armonk"])
+    def test_best_fidelity_probes_no_calibration_beside_a_zero_error_machine(
+            self, zero_error):
+        fleet = fleet_in_study(seed=7)
+        eligible = [b for b in fleet.values()
+                    if not b.is_simulator and b.coupling_map.edges]
+        eligible.append(fleet[zero_error])
+        profile = UserProfile("u", MachineSelectionPolicy.BEST_FIDELITY)
+        for day in (0, 90, 400, 800):
+            chosen = profile.select_machine(eligible, RandomSource(1),
+                                            timestamp=day * DAY_SECONDS)
+            assert chosen.name == zero_error
+        for backend in fleet.values():
+            assert not backend.calibration_model._cx_error_cache
+            assert not backend.calibration_model._snapshot_cache
 
     def test_balanced_policy_matches_snapshot_ranking(self):
         """BALANCED ranks by the per-epoch scalar; without the simulator
