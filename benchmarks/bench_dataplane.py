@@ -72,9 +72,8 @@ def _speedup(baseline: float, columnar: float) -> float:
 def _run_pipeline(config: TraceGeneratorConfig, fleet, synthesizer,
                   recorder) -> List:
     """One single-process study pass: plan -> synthesise -> simulate -> record."""
-    jobs = [synthesizer.synthesise(planned)
-            for planned in plan_submissions(config)]
-    jobs = [job for job in jobs if job is not None]
+    jobs = [job for job in synthesizer.synthesise_many(
+        plan_submissions(config)) if job is not None]
     service = QuantumCloudService(fleet, seed=config.seed)
     for job in jobs:
         service.submit(job)

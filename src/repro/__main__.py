@@ -302,8 +302,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def _synthesise_for_engine():
         fleet = config.build_fleet()
         synthesizer = JobSynthesizer(config, fleet)
-        jobs = [synthesizer.synthesise(planned)
-                for planned in plan_submissions(config)]
+        jobs = synthesizer.synthesise_many(plan_submissions(config))
         return fleet, [job for job in jobs if job is not None]
 
     engines: Dict[str, Dict[str, object]] = {}

@@ -109,19 +109,6 @@ class CircuitBatch:
         self._width_column: Optional[np.ndarray] = None
         self._depth_column: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_metrics(cls, name_prefix: str, family: str, batch_size: int,
-                     base, variants: Sequence) -> "CircuitBatch":
-        """Build a batch from metric objects exposing the five metric fields."""
-        rows = np.asarray(
-            [[getattr(m, field_name) for field_name in cls.METRIC_FIELDS]
-             for m in variants],
-            dtype=np.int64,
-        ).reshape(-1, len(cls.METRIC_FIELDS))
-        base_row = [getattr(base, field_name)
-                    for field_name in cls.METRIC_FIELDS]
-        return cls(name_prefix, family, batch_size, base_row, rows)
-
     # -- sequence protocol ---------------------------------------------------------
 
     @property

@@ -4,7 +4,9 @@ Reproducibility matters for the study: the synthetic two-year trace, the
 calibration drift, and the stochastic transpiler passes must all be exactly
 repeatable from a single seed.  :class:`RandomSource` wraps
 ``numpy.random.Generator`` and supports deterministic child-stream derivation
-so independent subsystems do not perturb each other's streams.
+so independent subsystems do not perturb each other's streams.  Where a hot
+path needs many child streams for one draw each, :func:`seed_words` seeds
+them all in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 SeedLike = Union[int, None, "RandomSource", np.random.Generator]
 
@@ -30,6 +33,93 @@ def derive_seed(base_seed: int, *names: object) -> int:
         digest.update(b"/")
         digest.update(str(name).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "little")
+
+
+# The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+#: PCG64 seeds itself from ``generate_state(4, np.uint64)``.
+_PCG64_WORDS = 4
+
+
+def _xorshift16(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> np.uint32(16))
+
+
+def seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """The PCG64 seed words of ``np.random.default_rng(s)`` for many seeds.
+
+    Runs NumPy's ``SeedSequence`` entropy mixing (pool size 4, no spawn
+    key) lane-wise over uint32 arrays, so row ``i`` of the ``(n, 4)``
+    uint64 result equals
+    ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+    Seeds must lie in ``[0, 2**64)``.  Such a seed is one or two 32-bit
+    entropy words, and a pool slot past the entropy hashes a zero word,
+    so a seed below ``2**32`` mixes exactly like one with a zero high word.
+    """
+    lanes = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        return _xorshift16(value * np.uint32(hash_const))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _xorshift16(np.uint32(_MIX_MULT_L) * x
+                           - np.uint32(_MIX_MULT_R) * y)
+
+    low = (lanes & np.uint64(_MASK32)).astype(np.uint32)
+    high = (lanes >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling over the
+    # pool, paired little-endian into four uint64 words.
+    state = np.empty((lanes.shape[0], 2 * _PCG64_WORDS), dtype="<u4")
+    hash_const = _INIT_B
+    for word in range(2 * _PCG64_WORDS):
+        value = pool[word % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        state[:, word] = _xorshift16(value * np.uint32(hash_const))
+    return state.view("<u8").astype(np.uint64)
+
+
+class SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed :func:`seed_words` row.
+
+    ``np.random.Generator(np.random.PCG64(SeedWords(seed_words([s])[0])))``
+    draws exactly what ``np.random.default_rng(s)`` draws: PCG64 seeds
+    itself from the same four words, and NumPy's samplers make every draw.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+        if self._words.shape != (_PCG64_WORDS,):
+            raise ValueError("SeedWords holds exactly 4 uint64 words")
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _PCG64_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                "SeedWords only serves PCG64's request for 4 uint64 words, "
+                f"not {n_words} of {np.dtype(dtype)}")
+        return self._words
+
+
+def generator_from_words(words: np.ndarray) -> np.random.Generator:
+    """The NumPy generator ``default_rng`` builds for a :func:`seed_words` row."""
+    return np.random.Generator(np.random.PCG64(SeedWords(words)))
 
 
 class RandomSource:
@@ -60,12 +150,15 @@ class RandomSource:
         """The integer seed, if the source was seed-constructed."""
         return self._seed
 
+    def child_seed(self, *names: object) -> int:
+        """Derive the integer seed of the child stream keyed by ``names``."""
+        base = self._seed if self._seed is not None else 0
+        return derive_seed(base, self.name, *names)
+
     def child(self, *names: object) -> "RandomSource":
         """Create an independent child stream keyed by ``names``."""
-        base = self._seed if self._seed is not None else 0
-        child_seed = derive_seed(base, self.name, *names)
         label = self.name + "/" + "/".join(str(n) for n in names)
-        return RandomSource(child_seed, name=label)
+        return RandomSource(self.child_seed(*names), name=label)
 
     def spawn_seed(self, key: object) -> int:
         """Derive the integer seed of the spawned stream for ``key``.

@@ -130,15 +130,11 @@ def _synthesise_task(payload: Tuple[int, int, str, TraceGeneratorConfig,
         synthesizer = JobSynthesizer(config, state["fleet"],
                                      rank_table=rank_table)
         state["synthesizer"] = synthesizer
-    jobs: List[Job] = []
     with get_tracer().span("synthesis.shard", study=key,
                            job_shard=shard.shard_id,
                            submissions=len(shard.submissions)):
-        for planned in shard.submissions:
-            job = synthesizer.synthesise(planned)
-            if job is not None:
-                jobs.append(job)
-    return jobs
+        jobs = synthesizer.synthesise_many(shard.submissions)
+    return [job for job in jobs if job is not None]
 
 
 def _transpile_task(payload: Tuple[int, int, str, TraceGeneratorConfig,

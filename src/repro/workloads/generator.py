@@ -23,14 +23,17 @@ and the per-figure benches consume.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.job import CircuitBatch, Job
 from repro.cloud.service import FailureModel
 from repro.core.exceptions import WorkloadError
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, generator_from_words, seed_words
 from repro.core.units import DAY_SECONDS
 from repro.devices.backend import Backend
 from repro.devices.calibration import DriftModel
@@ -213,6 +216,17 @@ class TraceGeneratorConfig:
     scenario: Optional[ScenarioKnobs] = None
 
     def __post_init__(self):
+        # A bool or float seed would be truncated where the streams are
+        # seeded but fingerprinted as itself: one trace, several cache keys.
+        for name in ("total_jobs", "months", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise WorkloadError(
+                    f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise WorkloadError(
+                f"seed must be non-negative, got {self.seed}")
         if self.total_jobs < 1:
             raise WorkloadError("total_jobs must be positive")
         if self.months < 1:
@@ -314,6 +328,17 @@ def plan_submissions(config: TraceGeneratorConfig) -> List[PlannedSubmission]:
     return submissions
 
 
+#: Circuits per job, from the first, that carry a jittered metric variant.
+JITTERED_CIRCUITS = 16
+
+#: Submissions whose circuit-jitter streams :meth:`JobSynthesizer.
+#: synthesise_many` seeds in one vectorised :func:`seed_words` pass.
+SYNTHESIS_CHUNK = 1024
+
+#: Lower bounds of the jittered (depth, gates, cx, cx_depth) metrics, as
+#: in :meth:`~repro.workloads.circuit_metrics.CircuitMetrics.jittered`.
+_JITTER_FLOORS = np.array([1.0, 1.0, 0.0, 0.0])
+
 #: Width of the memoisation buckets of :func:`expected_pending_estimator`.
 PENDING_BUCKET_SECONDS = 3600.0
 
@@ -387,29 +412,35 @@ class JobSynthesizer:
         self.rank_table = rank_table
 
     def _build_circuits(self, rng: RandomSource, family: str, width: int,
-                        batch_size: int, base_metrics) -> CircuitBatch:
+                        batch_size: int, base_metrics,
+                        jitter_words: np.ndarray) -> CircuitBatch:
         """Materialise the job's circuits as a compact columnar batch.
 
         Only the first min(16, batch) circuits carry jittered metrics; the
         rest of the batch shares ``base_metrics`` exactly, so the batch
-        stores just those variants columnar instead of one spec object per
-        circuit.  The jitter child streams are derived only for the jittered
-        variants (deriving is a pure hash and draws nothing from ``rng``, so
-        this changes no random stream).  The row-path reference synthesiser
+        stores just those variants as a ``(k, 5)`` array.  Variant ``i``
+        draws its factor from the stream ``rng.child("circuit", i)``, built
+        here from row ``i`` of ``jitter_words`` (its precomputed seed
+        words) and drawn exactly as
+        :meth:`~repro.workloads.circuit_metrics.CircuitMetrics.jittered`
+        draws it: ``np.rint`` rounds half to even like ``round``, and the
+        products are the same IEEE multiplies.  Deriving the streams draws
+        nothing from ``rng``.  The row-path reference synthesiser
         overrides only this hook.
         """
-        variants = [
-            base_metrics.jittered(rng.child("circuit", circuit_index),
-                                  relative=0.08)
-            for circuit_index in range(min(batch_size, 16))
-        ]
-        return CircuitBatch.from_metrics(
-            name_prefix=f"{family}_{width}_",
-            family=family,
-            batch_size=batch_size,
-            base=base_metrics,
-            variants=variants,
-        )
+        count = min(batch_size, JITTERED_CIRCUITS)
+        draws = [generator_from_words(words).normal(0.0, 0.08)
+                 for words in jitter_words[:count]]
+        factors = np.maximum(0.5, 1.0 + np.array(draws))
+        base = [getattr(base_metrics, name)
+                for name in CircuitBatch.METRIC_FIELDS]
+        variants = np.empty((count, len(base)), dtype=np.int64)
+        variants[:, 0] = base[0]
+        variants[:, 1:] = np.maximum(
+            np.rint(np.multiply.outer(factors, np.array(base[1:], float))),
+            _JITTER_FLOORS)
+        return CircuitBatch(f"{family}_{width}_", family, batch_size, base,
+                            variants)
 
     def _eligible_backends(self, month: int, width: int,
                            privileged: bool) -> List[Backend]:
@@ -424,8 +455,8 @@ class JobSynthesizer:
             eligible.append(backend)
         return eligible
 
-    def _draw_prefix(self, planned: PlannedSubmission):
-        """Replay the fixed draw prefix of one job's random stream.
+    def _draw_prefix(self, planned: PlannedSubmission, rng: RandomSource):
+        """Replay the fixed draw prefix of one job's random stream ``rng``.
 
         Everything up to (but excluding) machine selection: the user, the
         privileged draw, the circuit shape, and the eligibility/shrink
@@ -434,11 +465,10 @@ class JobSynthesizer:
         :meth:`class_requirement` — the rank-mode transpile planner — and
         the synthesis path replay *the same code* and can never drift
         apart.  Returns ``None`` when nothing fits, else
-        ``(rng, user, privileged, family, width, eligible)`` with ``rng``
+        ``(user, privileged, family, width, eligible)`` with ``rng``
         positioned exactly where machine selection would continue.
         """
         config = self.config
-        rng = self._root.spawn(planned.job_index)
         distributions = config.distributions
 
         user = pick_user(config.users, rng)
@@ -461,7 +491,7 @@ class JobSynthesizer:
                                                    privileged)
             if not eligible:
                 return None
-        return rng, user, privileged, family, width, eligible
+        return user, privileged, family, width, eligible
 
     def class_requirement(
             self, planned: PlannedSubmission
@@ -474,23 +504,52 @@ class JobSynthesizer:
         prefix is replayed, and each job spawns a fresh stream, so probing
         job ``i`` here never perturbs job ``i``'s synthesis.
         """
-        prefix = self._draw_prefix(planned)
+        prefix = self._draw_prefix(planned,
+                                   self._root.spawn(planned.job_index))
         if prefix is None:
             return None
-        _, _, _, family, width, eligible = prefix
+        _, _, family, width, eligible = prefix
         return family, width, tuple(b.name for b in eligible)
 
     def synthesise(self, planned: PlannedSubmission) -> Optional[Job]:
         """Build the job for one planned submission (None if nothing fits)."""
+        return self.synthesise_many([planned])[0]
+
+    def synthesise_many(self, plans: Sequence[PlannedSubmission]
+                        ) -> List[Optional[Job]]:
+        """Build the job of every planned submission, in plan order.
+
+        The circuit-jitter streams of each chunk of
+        :data:`SYNTHESIS_CHUNK` submissions are seeded together: the chunk
+        derives every job's ``child_seed("circuit", i)`` for the first
+        :data:`JITTERED_CIRCUITS` indices and mixes them in one
+        :func:`seed_words` call, so no jitter stream is a
+        :class:`RandomSource` of its own.  The jobs equal those of one
+        :meth:`synthesise` call each.
+        """
+        jobs: List[Optional[Job]] = []
+        for start in range(0, len(plans), SYNTHESIS_CHUNK):
+            chunk = plans[start:start + SYNTHESIS_CHUNK]
+            streams = [self._root.spawn(planned.job_index)
+                       for planned in chunk]
+            words = seed_words([
+                rng.child_seed("circuit", index)
+                for rng in streams for index in range(JITTERED_CIRCUITS)
+            ]).reshape(len(chunk), JITTERED_CIRCUITS, -1)
+            jobs.extend(map(self._synthesise, chunk, streams, words))
+        return jobs
+
+    def _synthesise(self, planned: PlannedSubmission, rng: RandomSource,
+                    jitter_words: np.ndarray) -> Optional[Job]:
         config = self.config
         month = planned.month
         submit_time = planned.submit_time
         distributions = config.distributions
 
-        prefix = self._draw_prefix(planned)
+        prefix = self._draw_prefix(planned, rng)
         if prefix is None:
             return None
-        rng, user, privileged, family, width, eligible = prefix
+        user, privileged, family, width, eligible = prefix
         provider = "academic-hub" if privileged else "open"
 
         # Built only for the selections that read it; the estimator draws
@@ -522,7 +581,7 @@ class JobSynthesizer:
 
         base_metrics = compiled_metrics(family, max(width, 1), backend, rng=rng)
         circuits = self._build_circuits(rng, family, width, batch_size,
-                                        base_metrics)
+                                        base_metrics, jitter_words)
 
         compile_seconds = config.compile_model.job_seconds(
             base_metrics, batch_size, backend.num_qubits, rng=rng

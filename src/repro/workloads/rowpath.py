@@ -41,14 +41,16 @@ class RowPathSynthesizer(JobSynthesizer):
 
     Shares the whole synthesis flow (user pick, machine selection, batch
     sampling) with the vectorised synthesiser and overrides only the
-    circuit-materialisation hook: one spec object per circuit, including
-    the historical quirk of deriving an unused jitter child stream for
-    every circuit index >= 16 (derivation is a pure hash, so the random
+    circuit-materialisation hook: one spec object per circuit, each
+    jittered variant drawn from its own ``rng.child("circuit", i)``
+    stream rather than the precomputed seed words, including the
+    historical quirk of deriving an unused jitter child stream for every
+    circuit index >= 16 (derivation is a pure hash, so the random
     streams — and therefore the synthesised values — are identical).
     """
 
     def _build_circuits(self, rng, family: str, width: int, batch_size: int,
-                        base_metrics) -> List[CircuitSpec]:
+                        base_metrics, jitter_words) -> List[CircuitSpec]:
         circuits: List[CircuitSpec] = []
         for circuit_index in range(batch_size):
             jitter_rng = rng.child("circuit", circuit_index % 16)

@@ -1,8 +1,18 @@
 """Tests for repro.core.rng."""
 
 import numpy as np
+import pytest
 
-from repro.core.rng import RandomSource, derive_seed
+from repro.core.rng import (
+    RandomSource,
+    SeedWords,
+    derive_seed,
+    generator_from_words,
+    seed_words,
+)
+
+#: Seeds at the edges of one and two 32-bit entropy words.
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
 
 class TestDeriveSeed:
@@ -87,3 +97,49 @@ class TestRandomSource:
         assert alias.name == "orig"
         # The alias shares the generator object.
         assert alias.generator is original.generator
+
+
+class TestSeedWords:
+    def test_matches_numpy_seed_sequence(self):
+        words = seed_words(EDGE_SEEDS)
+        assert words.shape == (len(EDGE_SEEDS), 4)
+        assert words.dtype == np.uint64
+        for seed, row in zip(EDGE_SEEDS, words):
+            expected = np.random.SeedSequence(seed).generate_state(
+                4, np.uint64)
+            assert row.tolist() == expected.tolist(), seed
+
+    def test_one_word_seed_mixes_like_a_zero_high_word(self):
+        for seed in (0, 1, 2 ** 32 - 1):
+            padded = np.random.SeedSequence([seed, 0]).generate_state(
+                4, np.uint64)
+            assert seed_words([seed])[0].tolist() == padded.tolist()
+
+    def test_generator_draws_like_the_random_source(self):
+        for seed in EDGE_SEEDS:
+            words = seed_words([seed])[0]
+            source = RandomSource(seed).generator
+            generator = generator_from_words(words)
+            assert generator.normal(size=8).tolist() \
+                == source.normal(size=8).tolist()
+            assert generator.random(8).tolist() == source.random(8).tolist()
+
+    def test_child_seed_is_the_child_stream_seed(self):
+        root = RandomSource(11).spawn(3)
+        assert root.child_seed("circuit", 5) \
+            == root.child("circuit", 5).seed
+        assert RandomSource(11).child_seed("x") \
+            == derive_seed(11, "root", "x")
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+    def test_shim_serves_only_four_uint64_words(self, n_words, dtype):
+        shim = SeedWords(seed_words([7])[0])
+        with pytest.raises(ValueError):
+            shim.generate_state(n_words, dtype)
+        assert shim.generate_state(4, np.uint64).tolist() \
+            == seed_words([7])[0].tolist()
+
+    def test_shim_holds_exactly_four_words(self):
+        with pytest.raises(ValueError):
+            SeedWords(seed_words([7, 8]))

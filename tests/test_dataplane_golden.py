@@ -41,12 +41,14 @@ def fleet(config):
 
 @pytest.fixture(scope="module")
 def golden_jobs(config, fleet):
-    """(columnar jobs, rowpath jobs) synthesised from the same plan."""
+    """(columnar jobs, rowpath jobs, whole-plan batched jobs) synthesised
+    from the same plan."""
     plan = plan_submissions(config)
     columnar = JobSynthesizer(config, fleet)
     rowpath = RowPathSynthesizer(config, fleet)
     return ([columnar.synthesise(p) for p in plan],
-            [rowpath.synthesise(p) for p in plan])
+            [rowpath.synthesise(p) for p in plan],
+            JobSynthesizer(config, fleet).synthesise_many(plan))
 
 
 def _simulate(config, fleet, jobs):
@@ -61,7 +63,7 @@ def _simulate(config, fleet, jobs):
 @pytest.fixture(scope="module")
 def golden_records(config, fleet, golden_jobs):
     """(columnar records, rowpath records) after full simulation."""
-    columnar_jobs, rowpath_jobs = golden_jobs
+    columnar_jobs, rowpath_jobs, _ = golden_jobs
     columnar = [record_for(job, fleet)
                 for job in _simulate(config, fleet, columnar_jobs)]
     rowpath = [record_for_rowpath(job, fleet)
@@ -71,35 +73,37 @@ def golden_records(config, fleet, golden_jobs):
 
 class TestSynthesisEquivalence:
     def test_same_jobs_synthesised(self, golden_jobs):
-        columnar_jobs, rowpath_jobs = golden_jobs
-        assert len(columnar_jobs) == len(rowpath_jobs)
-        assert any(job is not None for job in columnar_jobs)
-        for new, old in zip(columnar_jobs, rowpath_jobs):
-            assert (new is None) == (old is None)
-            if new is None:
-                continue
-            assert new.job_id == old.job_id
-            assert new.backend_name == old.backend_name
-            assert new.provider == old.provider
-            assert new.shots == old.shots
-            assert new.compile_seconds == old.compile_seconds
-            assert new.metadata == old.metadata
+        columnar_jobs, rowpath_jobs, batched_jobs = golden_jobs
+        for jobs in (columnar_jobs, batched_jobs):
+            assert len(jobs) == len(rowpath_jobs)
+            assert any(job is not None for job in jobs)
+            for new, old in zip(jobs, rowpath_jobs):
+                assert (new is None) == (old is None)
+                if new is None:
+                    continue
+                assert new.job_id == old.job_id
+                assert new.backend_name == old.backend_name
+                assert new.provider == old.provider
+                assert new.shots == old.shots
+                assert new.compile_seconds == old.compile_seconds
+                assert new.metadata == old.metadata
 
     def test_circuit_batches_match_spec_lists_exactly(self, golden_jobs):
-        columnar_jobs, rowpath_jobs = golden_jobs
-        checked = 0
-        for new, old in zip(columnar_jobs, rowpath_jobs):
-            if new is None:
-                continue
-            assert isinstance(new.circuits, CircuitBatch)
-            assert isinstance(old.circuits, list)
-            assert len(new.circuits) == len(old.circuits)
-            assert list(new.circuits) == old.circuits
-            checked += 1
-        assert checked > 0
+        columnar_jobs, rowpath_jobs, batched_jobs = golden_jobs
+        for jobs in (columnar_jobs, batched_jobs):
+            checked = 0
+            for new, old in zip(jobs, rowpath_jobs):
+                if new is None:
+                    continue
+                assert isinstance(new.circuits, CircuitBatch)
+                assert isinstance(old.circuits, list)
+                assert len(new.circuits) == len(old.circuits)
+                assert list(new.circuits) == old.circuits
+                checked += 1
+            assert checked > 0
 
     def test_batch_aggregates_match_loops(self, golden_jobs):
-        columnar_jobs, _ = golden_jobs
+        columnar_jobs = golden_jobs[0]
         for job in columnar_jobs:
             if job is None:
                 continue

@@ -1,17 +1,24 @@
 """Tests for the synthetic trace generator (repro.workloads.generator)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.cloud.job import CircuitBatch, Job
 from repro.core.exceptions import WorkloadError
+from repro.core.rng import RandomSource
 from repro.core.types import JobStatus
 from repro.runner import run_study
+from repro.runner.sharding import plan_shards
 from repro.workloads.generator import (
     MONTH_SECONDS,
+    SYNTHESIS_CHUNK,
     JobSynthesizer,
     TraceGeneratorConfig,
     plan_submissions,
 )
+from repro.workloads.rowpath import RowPathSynthesizer
 from repro.workloads.transpile_classes import ClassRankTable
 from repro.workloads.users import MachineSelectionPolicy, UserProfile
 
@@ -45,6 +52,106 @@ class TestConfig:
             TraceGeneratorConfig(months=0)
         with pytest.raises(WorkloadError):
             TraceGeneratorConfig(growth_ratio=0)
+        # Seeds and sizes the streams cannot be seeded from, or that would
+        # be truncated there but fingerprinted as given.
+        for knobs in ({"seed": -1}, {"seed": -2}, {"seed": "abc"},
+                      {"seed": 1.5}, {"seed": True}, {"seed": None},
+                      {"total_jobs": 10.5}, {"total_jobs": "10"},
+                      {"months": 2.5}, {"months": False}):
+            with pytest.raises(WorkloadError):
+                TraceGeneratorConfig(**knobs)
+
+    def test_numpy_integers_are_integers(self):
+        config = TraceGeneratorConfig(total_jobs=np.int64(20),
+                                      months=np.int32(2), seed=np.int64(0))
+        assert config.jobs_per_month() == TraceGeneratorConfig(
+            total_jobs=20, months=2, seed=0).jobs_per_month()
+
+
+def _metric_rows(specs):
+    return np.array([[getattr(spec, name)
+                      for name in CircuitBatch.METRIC_FIELDS]
+                     for spec in specs], dtype=np.int64).reshape(-1, 5)
+
+
+def _assert_same_jobs(batched, reference):
+    """Every Job field equal; batches equal in base row and variants,
+    or, against the row path, circuit for circuit."""
+    assert len(batched) == len(reference)
+    assert any(job is not None for job in batched)
+    for new, old in zip(batched, reference):
+        assert (new is None) == (old is None)
+        if new is None:
+            continue
+        for field in dataclasses.fields(Job):
+            if field.name != "circuits":
+                assert getattr(new, field.name) == getattr(old, field.name), \
+                    (new.job_id, field.name)
+        batch = new.circuits
+        assert isinstance(batch, CircuitBatch)
+        if isinstance(old.circuits, CircuitBatch):
+            assert batch.base == old.circuits.base
+            assert batch.variants.dtype == old.circuits.variants.dtype
+            assert np.array_equal(batch.variants, old.circuits.variants)
+            assert batch == old.circuits
+            continue
+        assert len(batch) == len(old.circuits)
+        rows = _metric_rows(old.circuits)
+        assert np.array_equal(batch.variants, rows[:batch.num_variants])
+        assert (rows[batch.num_variants:] == batch.base).all()
+        assert list(batch) == old.circuits
+
+
+class TestSynthesiseMany:
+    """The chunked, vectorised path equals per-job synthesis and the
+    row-path reference job for job."""
+
+    def test_every_shard_matches_per_job_and_row_path(self):
+        config = TraceGeneratorConfig(total_jobs=200, months=2, seed=7)
+        fleet = config.build_fleet()
+        synthesizer = JobSynthesizer(config, fleet)
+        rowpath = RowPathSynthesizer(config, fleet)
+        shards = plan_shards(config, plan_submissions(config), 2)
+        for shard in shards:
+            batched = synthesizer.synthesise_many(shard.submissions)
+            _assert_same_jobs(batched, [synthesizer.synthesise(planned)
+                                        for planned in shard.submissions])
+            _assert_same_jobs(batched, [rowpath.synthesise(planned)
+                                        for planned in shard.submissions])
+
+    def test_a_call_across_the_chunk_boundary(self):
+        config = TraceGeneratorConfig(total_jobs=1100, months=6, seed=7)
+        fleet = config.build_fleet()
+        plan = plan_submissions(config)
+        assert len(plan) > SYNTHESIS_CHUNK
+        synthesizer = JobSynthesizer(config, fleet)
+        batched = synthesizer.synthesise_many(plan)
+        _assert_same_jobs(batched, [synthesizer.synthesise(planned)
+                                    for planned in plan])
+        # The row path is ~10x slower: check the jobs around the boundary.
+        window = slice(SYNTHESIS_CHUNK - 40, SYNTHESIS_CHUNK + 40)
+        rowpath = RowPathSynthesizer(config, fleet)
+        _assert_same_jobs(batched[window], [rowpath.synthesise(planned)
+                                            for planned in plan[window]])
+
+    def test_only_the_job_streams_are_random_sources(self, monkeypatch):
+        config = TraceGeneratorConfig(total_jobs=300, months=3, seed=7)
+        plan = plan_submissions(config)
+        synthesizer = JobSynthesizer(config, config.build_fleet())
+        synthesizer.synthesise_many(plan)  # warms the memo caches
+        constructed = []
+        original = RandomSource.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomSource, "__init__", counting)
+        jobs = synthesizer.synthesise_many(plan)
+        # One spawned stream per job; the jittered circuits (the per-job
+        # path built one stream each) build none.
+        assert sum(min(len(job.circuits), 16) for job in jobs) > len(plan)
+        assert len(constructed) == len(plan)
 
 
 class _FirstMachineTable(ClassRankTable):

@@ -11,7 +11,7 @@ from repro.circuits.library import random_circuit
 from repro.circuits.qasm import from_qasm, to_qasm
 from repro.cloud.queues import FairShareQueue
 from repro.cloud.job import CircuitSpec, Job
-from repro.core.rng import RandomSource, derive_seed
+from repro.core.rng import RandomSource, derive_seed, seed_words
 from repro.core.units import format_duration
 from repro.devices.topology import CouplingMap, line_topology, ring_topology
 from repro.fidelity.statevector import StatevectorSimulator
@@ -144,6 +144,12 @@ class TestRngProperties:
         a = [RandomSource(seed).random() for _ in range(3)]
         b = [RandomSource(seed).random() for _ in range(3)]
         assert a == b
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_words_match_numpy_seed_sequence(self, seed):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert seed_words([seed])[0].tolist() == expected.tolist()
 
 
 class TestUnitsAndStatsProperties:

@@ -441,6 +441,26 @@ class TestCommandLine:
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_clean_error(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        code = main(["run-study", "--jobs", "20", "--months", "2",
+                     "--seed", "-1", "--workers", "1", "--quiet",
+                     "--no-cache"])
+        assert code == 2
+        assert "repro: error: seed must be non-negative" \
+            in capsys.readouterr().err
+        spec_path = tmp_path / "suite.json"
+        spec_path.write_text(json.dumps({
+            "study": {"total_jobs": 20, "months": 2, "seed": -2},
+            "scenarios": [{"name": "baseline"}],
+        }))
+        code = main(["run-scenarios", "--workers", "1", "--quiet",
+                     "--spec", str(spec_path), "--no-cache"])
+        assert code == 2
+        assert "repro: error: seed must be non-negative" \
+            in capsys.readouterr().err
+
     def test_sweep_and_replicates_flags(self, tmp_path, capsys):
         from repro.__main__ import main
 

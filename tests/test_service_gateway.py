@@ -216,6 +216,14 @@ class TestHttpErrors:
         with pytest.raises(GatewayError) as excinfo:
             client.submit({"bogus-key": 1})
         assert excinfo.value.status == 400
+        # Study knobs the streams cannot be seeded from are refused at
+        # submit, not failed inside the run.
+        for study in ({"seed": -4}, {"seed": "abc"}, {"seed": 1.5},
+                      {"seed": True}, {"total_jobs": 10.5},
+                      {"months": 2.5}):
+            with pytest.raises(GatewayError) as excinfo:
+                client.submit({"study": study})
+            assert excinfo.value.status == 400, study
 
     def test_result_endpoint_serves_finished_jobs(self, gateway):
         _, make_client = gateway
