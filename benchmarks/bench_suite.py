@@ -63,8 +63,13 @@ def build_scenarios(args, base_seed: int) -> List:
 
 
 def _printer(tag, quiet):
-    return None if quiet else (
-        lambda message: print(f"  [{tag}] {message}"))
+    """Print each study's completion as the run goes (silent if quiet)."""
+    def printer(event):
+        if event.kind == "study-done":
+            print(f"  [{tag}] study {event.key} done "
+                  f"({event.detail['jobs']} jobs, {event.detail['seconds']}s)")
+
+    return None if quiet else printer
 
 
 def run_sequential(config, scenarios, workers, quiet):
@@ -73,7 +78,7 @@ def run_sequential(config, scenarios, workers, quiet):
     traces = {
         scenario.name: run_study(config=scenario.apply_to(config),
                                  workers=workers, use_cache=False,
-                                 progress=_printer("seq", quiet)).trace
+                                 on_event=_printer("seq", quiet)).trace
         for scenario in scenarios
     }
     return traces, time.perf_counter() - started
@@ -81,7 +86,7 @@ def run_sequential(config, scenarios, workers, quiet):
 
 def run_suite(config, scenarios, workers, quiet):
     engine = ScenarioEngine(config, workers=workers,
-                            progress=_printer("suite", quiet))
+                            on_event=_printer("suite", quiet))
     started = time.perf_counter()
     suite = engine.run(scenarios, use_cache=False)
     return suite, time.perf_counter() - started

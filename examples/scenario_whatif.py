@@ -46,6 +46,13 @@ BACKLOG_SWEEP = Scenario(
 )
 
 
+def print_milestone(event) -> None:
+    """Print when each study is queued, served from cache or done."""
+    if event.kind in ("queued", "cache-hit", "study-done"):
+        print(f"  [engine] {event.kind} {event.key} "
+              f"({event.completed}/{event.total} tasks done)")
+
+
 def main() -> None:
     config = TraceGeneratorConfig(
         total_jobs=env_int("REPRO_BENCH_JOBS", 600),
@@ -60,7 +67,7 @@ def main() -> None:
     engine = ScenarioEngine(
         config,
         cache=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-        progress=lambda message: print(f"  [engine] {message}"),
+        on_event=print_milestone,
     )
     suite = engine.run(scenarios)
 

@@ -123,12 +123,6 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
                         help="suppress progress output")
 
 
-def _progress(quiet: bool):
-    if quiet:
-        return None
-    return lambda message: print(f"[repro] {message}", file=sys.stderr)
-
-
 def _print_phase_report(label: str, timings: Dict[str, float]) -> None:
     """One stderr line per study: its per-phase wall-clock breakdown."""
     parts = " ".join(f"{name}={seconds:.3f}s"
@@ -136,7 +130,52 @@ def _print_phase_report(label: str, timings: Dict[str, float]) -> None:
     print(f"[repro] phases[{label}]: {parts}", file=sys.stderr)
 
 
-def _generate(args: argparse.Namespace, quiet: bool = False) -> StudyResult:
+#: The stderr line of each study milestone, formatted from the event's
+#: ``as_dict()``; ``shard-done`` lines are printed only under --progress.
+_MILESTONES = {
+    "cache-hit": "study {study}: cache hit ({jobs} jobs)",
+    "transpile-queued": "study {study}: transpiling {pairs} cold classes "
+                        "in {shards} shards ({cached} cached)",
+    "rank-table": "study {study}: rank table of {entries} classes "
+                  "({computed} computed, {cached} cached)",
+    "queued": "study {study}: synthesising {submissions} submissions in "
+              "{shards} shards",
+    "sims-queued": "study {study}: simulating {jobs} jobs in {groups} "
+                   "machine groups",
+    "study-done": "study {study} done ({jobs} jobs, {seconds}s)",
+    "suite-done": "suite done: {studies} studies, {cache_hits} cache hits "
+                  "in {elapsed_seconds:.1f}s",
+}
+
+
+def _event_printer(args: argparse.Namespace):
+    """The one stderr printer of the runner's :class:`SuiteEvent`s: study
+    milestones unless ``--quiet``, and under ``--progress`` every landed
+    task as shard counts with a wall-clock ETA (plus the study and suite
+    completions, even when quiet)."""
+    milestones = not args.quiet
+    shards = getattr(args, "shard_progress", False)
+    if not (milestones or shards):
+        return None
+
+    def printer(event) -> None:
+        if event.kind == "shard-done":
+            if not shards:
+                return
+            eta = (f", eta {event.eta_seconds:.1f}s"
+                   if event.eta_seconds is not None else "")
+            line = (f"{event.completed}/{event.total} shards "
+                    f"({event.phase}{eta})")
+        elif milestones or event.kind in ("study-done", "suite-done"):
+            line = _MILESTONES[event.kind].format(**event.as_dict())
+        else:
+            return
+        print(f"[repro] {line}", file=sys.stderr)
+
+    return printer
+
+
+def _generate(args: argparse.Namespace) -> StudyResult:
     config = TraceGeneratorConfig(
         total_jobs=args.jobs, months=args.months, seed=args.seed)
     result = run_study(
@@ -144,7 +183,7 @@ def _generate(args: argparse.Namespace, quiet: bool = False) -> StudyResult:
         workers=args.workers,
         num_shards=args.shards,
         cache_dir=None if args.no_cache else args.cache_dir,
-        progress=_progress(quiet),
+        on_event=_event_printer(args),
         use_cache=not args.no_cache,
         transpile_workers=getattr(args, "transpile_workers", None),
     )
@@ -163,7 +202,7 @@ def _save_trace(trace: TraceDataset, output: str) -> None:
 
 
 def cmd_run_study(args: argparse.Namespace) -> int:
-    result = _generate(args, quiet=args.quiet)
+    result = _generate(args)
     print(json.dumps(result.summary(), indent=2))
     if args.output:
         _save_trace(result.trace, args.output)
@@ -177,7 +216,7 @@ def _load_or_generate_trace(args: argparse.Namespace):
         seed = int(trace.metadata.get("seed", args.seed))
         fleet = TraceGeneratorConfig(seed=seed).build_fleet()
         return trace, fleet
-    result = _generate(args, quiet=args.quiet)
+    result = _generate(args)
     return result.trace, result.config.build_fleet()
 
 
@@ -260,7 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         result = run_study(
             config=config, workers=workers, num_shards=args.shards,
-            use_cache=False, progress=_progress(args.quiet))
+            use_cache=False, on_event=_event_printer(args))
         elapsed = time.perf_counter() - started
         runs[workers] = {
             "seconds": round(elapsed, 3),
@@ -289,12 +328,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     payload["best_speedup"] = round(baseline / runs[best]["seconds"], 3)
     payload["best_workers"] = best
 
-    # Simulation-phase breakdown, measured directly on the two cores (the
-    # suite's phase timings are *wait* times and collapse on an inline
-    # single-worker pool): one fresh synthesis per engine — simulation
-    # mutates jobs in place — then the simulation alone is timed.  The
-    # terminal job states determine the trace bytes, so their equality is
-    # the byte-equivalence smoke check; a divergence fails the bench run.
+    # Simulation-phase breakdown, measured directly on the two cores (a
+    # study's simulation timing covers the batched core only, plus the
+    # grouping and the pool round trip): one fresh synthesis per engine —
+    # simulation mutates jobs in place — then the simulation alone is
+    # timed.  The terminal job states determine the trace bytes, so their
+    # equality is the byte-equivalence smoke check; a divergence fails the
+    # bench run.
     from repro.cloud.fastsim import simulate_fleet
     from repro.cloud.service import QuantumCloudService
     from repro.workloads.generator import JobSynthesizer, plan_submissions
@@ -396,7 +436,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tracer.enable()
     try:
         run_study(config=config, workers=best, num_shards=args.shards,
-                  use_cache=False, progress=None)
+                  use_cache=False)
     finally:
         if not tracer_was_enabled:
             tracer.disable()
@@ -515,29 +555,6 @@ def _list_scenarios(catalog) -> int:
     return 0
 
 
-def _event_printer(args: argparse.Namespace):
-    """The on_event hook behind ``--progress``: shard counts plus ETA."""
-    if not getattr(args, "shard_progress", False):
-        return None
-
-    def printer(event) -> None:
-        if event.kind == "shard-done":
-            eta = (f", eta {event.eta_seconds:.1f}s"
-                   if event.eta_seconds is not None else "")
-            print(f"[repro] {event.completed}/{event.total} shards "
-                  f"({event.phase}{eta})", file=sys.stderr)
-        elif event.kind == "study-done":
-            print(f"[repro] study {event.key} done "
-                  f"({event.detail.get('jobs')} jobs, "
-                  f"{event.detail.get('seconds')}s)", file=sys.stderr)
-        elif event.kind == "suite-done":
-            print(f"[repro] suite done: {event.detail.get('studies')} "
-                  f"studies, {event.detail.get('cache_hits')} cache hits "
-                  f"in {event.elapsed_seconds:.1f}s", file=sys.stderr)
-
-    return printer
-
-
 def _run_suite(args: argparse.Namespace):
     base, scenarios, _ = _resolve_suite(args)
     scenario_engine = ScenarioEngine(
@@ -545,7 +562,6 @@ def _run_suite(args: argparse.Namespace):
         workers=args.workers,
         num_shards=args.shards,
         cache=_scenario_cache_dir(args),
-        progress=_progress(args.quiet),
         on_event=_event_printer(args),
         transpile_workers=getattr(args, "transpile_workers", None),
     )

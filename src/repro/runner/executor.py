@@ -15,22 +15,24 @@ processes, in two embarrassingly parallel stages:
    its own spawned streams, so the merged per-machine dynamics equal a
    single whole-fleet simulation exactly.
 
-:func:`run_suite` generalises the same pipeline to *many* studies on one
-:class:`~repro.runner.pool.SharedWorkerPool`.  Scheduling is event-driven:
-every study's synthesis shards are queued up front, and a completion
-callback on each shard queues the study's machine-group simulations the
-moment its *last* synthesis shard lands — no study waits behind another
+:func:`run_suite` runs *many* studies on one
+:class:`~repro.runner.pool.SharedWorkerPool`.  Each study is a sequence of
+stages — plan, transpile (rank mode only), synthesis, simulation, merge —
+and one fan-out/fan-in helper runs every pool stage: it queues the stage's
+tasks, collects their results in item order, and when the last one lands
+clocks the stage and starts the next.  No study waits behind another
 study's synthesis in list order, and the pool is never idle behind a
-phase barrier.  Per-study worker state is keyed by config fingerprint (see
-:mod:`repro.runner.pool`), which keeps each study a pure function of its
-config: same seed in, byte-identical trace out, no matter how the work was
-partitioned, which studies ran alongside, or in what order shards landed.
+phase barrier.  That one clock reading per stage is the study's phase
+timing and, when tracing, its ``study.<phase>`` span.  Per-study worker
+state is keyed by config fingerprint (see :mod:`repro.runner.pool`), which
+keeps each study a pure function of its config: same seed in,
+byte-identical trace out, no matter how the work was partitioned, which
+studies ran alongside, or in what order shards landed.
 
-Progress is observable two ways: the legacy ``progress`` string callback,
-and ``on_event``, a structured :class:`SuiteEvent` stream (shards completed
-/ total, wall-clock ETA, per-study completions) that the CLI's
-``--progress`` flag prints and the study-service gateway forwards to its
-NDJSON job streams.  Events may fire on the pool's result-handler thread;
+Progress is observable as ``on_event``, a structured :class:`SuiteEvent`
+stream (shards completed / total, wall-clock ETA, per-study completions)
+that the CLI prints and the study-service gateway forwards to its NDJSON
+job streams.  Events may fire on the pool's result-handler thread;
 handlers must be quick, thread-safe and must never raise.
 
 Simulation workers return their rows already columnar
@@ -45,8 +47,10 @@ merged dataset is chunked into governed column blocks (see
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,7 +62,6 @@ from repro.runner.pool import SharedWorkerPool, default_workers
 from repro.runner.sharding import (
     MachineGroup,
     ShardSpec,
-    TranspileShard,
     plan_machine_groups,
     plan_shards,
     plan_transpile_shards,
@@ -80,15 +83,13 @@ from repro.workloads.generator import (
 from repro.workloads.transpile_classes import ClassRankTable, TranspilePair
 from repro.workloads.trace import (
     TRACE_SCHEMA_VERSION,
+    ShardColumns,
     TraceDataset,
     merge_shard_columns,
 )
 
-ProgressCallback = Callable[[str], None]
-
 __all__ = [
     "EventCallback",
-    "ProgressCallback",
     "StudyResult",
     "StudyRunner",
     "SuiteCancelled",
@@ -97,6 +98,9 @@ __all__ = [
     "run_study",
     "run_suite",
 ]
+
+#: A study's phases in stage order; ``StudyResult.timings`` adds "total".
+PHASES = ("plan", "transpile", "synthesis", "simulation", "merge")
 
 
 class SuiteCancelled(WorkloadError):
@@ -263,48 +267,29 @@ class StudyResult:
 
 
 @dataclass
-class _PendingStudy:
-    """Book-keeping of one cache-missed study flowing through the pool."""
+class _Study:
+    """One cache-missed study moving through its stages."""
 
     key: str
     config: TraceGeneratorConfig
-    shards: List[ShardSpec]
     started: float
-    plan_seconds: float
-    #: True when the study's scenario selects machines by batch ranking —
-    #: these studies run the extra transpile phase before synthesis
-    rank_mode: bool = False
-    num_submissions: int = 0
-    synth_handles: List[object] = field(default_factory=list)
-    sim_handles: List[object] = field(default_factory=list)
+    #: where the running stage's interval starts: the end of the stage
+    #: before it (plan starts once the cache lookup missed)
+    lap: float = field(default_factory=time.perf_counter)
+    timings: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    shards: List[ShardSpec] = field(default_factory=list)
     groups: List[MachineGroup] = field(default_factory=list)
-    synthesis_seconds: float = 0.0
-    simulation_seconds: float = 0.0
-    #: the class summaries shipped to every synthesis shard (rank mode)
-    rank_table: Optional[ClassRankTable] = None
-    transpile_shards: List[TranspileShard] = field(default_factory=list)
-    transpile_handles: List[object] = field(default_factory=list)
-    #: summaries served from the on-disk transpile cache during planning
-    transpile_warm: List[TranspileSummary] = field(default_factory=list)
-    #: per-shard computed summaries, filled by completion callbacks in
-    #: shard order (the order that makes the merged table deterministic)
-    transpile_shard_summaries: List[Optional[List[TranspileSummary]]] = \
-        field(default_factory=list)
-    #: transpile shards still outstanding; the callback that takes it to
-    #: zero builds the rank table and queues the study's synthesis
-    transpile_remaining: int = 0
-    transpile_seconds: float = 0.0
-    transpile_stats: Dict[str, int] = field(default_factory=dict)
-    #: per-shard synthesis results, filled by completion callbacks in shard
-    #: order (the order that makes the merged job list deterministic)
-    shard_jobs: List[Optional[List[Job]]] = field(default_factory=list)
-    #: shards still outstanding; the callback that takes it to zero queues
-    #: the study's simulations
-    shards_remaining: int = 0
-    #: an exception raised inside a completion callback (re-raised by the
-    #: collection loop — callbacks themselves must never raise)
-    callback_error: Optional[BaseException] = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    transpile: Dict[str, int] = field(default_factory=dict)
+    columns: List[ShardColumns] = field(default_factory=list)
+    error: Optional[BaseException] = None
+    #: set when the simulation stage completes or the study fails
+    done: threading.Event = field(default_factory=threading.Event)
+
+    def fail(self, error: BaseException) -> None:
+        if self.error is None:
+            self.error = error
+        self.done.set()
 
 
 def _probe_transpile_cache(
@@ -340,149 +325,251 @@ def _probe_transpile_cache(
     return warm, cold
 
 
-def _queue_synthesis(pool: SharedWorkerPool, epoch: int,
-                     study: _PendingStudy, tracker: _SuiteTracker) -> None:
-    """Queue a study's synthesis shards (directly, or as the rank-mode
-    transpile phase's completion step — whichever thread that lands on)."""
-    tracker.add_tasks(len(study.shards))
-    tracker.emit("queued", key=study.key, shards=len(study.shards),
-                 submissions=study.num_submissions)
-    study.synth_handles = [
-        pool.submit_synthesis(
-            epoch, study.key, study.config, shard,
-            callback=_shard_callback(pool, epoch, study, index, tracker),
-            rank_table=study.rank_table)
-        for index, shard in enumerate(study.shards)
-    ]
+class _Pipeline:
+    """The stages of one :func:`run_suite` call on its pool.
 
-
-def _finish_transpile(pool: SharedWorkerPool, epoch: int,
-                      study: _PendingStudy, tracker: _SuiteTracker,
-                      transpile_cache: Optional[TranspileCache]) -> None:
-    """Merge a rank study's class summaries and queue its synthesis.
-
-    Runs when the last transpile shard lands (or straight from the
-    scheduling loop when every pair was warm).  The merged table is sorted
-    by (family, width, machine), so it is identical for any shard count,
-    completion order, or warm/cold split — which is what keeps cached and
-    uncached rankings byte-equal.
+    Each cache-missed study runs plan → transpile (rank mode only) →
+    synthesis → simulation on :meth:`_fan_out`, each stage started by the
+    completion of the one before — on the calling thread, the pool's
+    result-handler thread, or inline for a one-worker pool — and then
+    merges on the calling thread in :meth:`collect`.
     """
-    computed = [summary
-                for shard_summaries in study.transpile_shard_summaries
-                for summary in shard_summaries]
-    if transpile_cache is not None:
+
+    def __init__(self, pool: SharedWorkerPool, tracker: _SuiteTracker,
+                 shards_per_study: int, transpile_shards_per_study: int,
+                 transpile_cache: Optional[TranspileCache]):
+        self.pool = pool
+        self.epoch = pool.next_epoch()
+        self.tracker = tracker
+        self.tracer = get_tracer()
+        self.shards_per_study = shards_per_study
+        self.transpile_shards_per_study = transpile_shards_per_study
+        self.transpile_cache = transpile_cache
+
+    def _clock(self, study: _Study, phase: str, **args: object) -> None:
+        """End ``phase`` now: the one measurement of its interval becomes
+        the study's timing and, when tracing, its ``study.<phase>`` span.
+
+        The spans go on a track of the study's own (``tid``), so that the
+        stages of studies in flight together never overlap on one
+        thread's track.
+        """
+        now = time.perf_counter()
+        study.timings[phase] = now - study.lap
+        self.tracer.record_span(f"study.{phase}", start=study.lap,
+                                duration=now - study.lap,
+                                args={"study": study.key, **args},
+                                tid=id(study))
+        study.lap = now
+
+    def _fan_out(self, study: _Study, phase: str, submit: Callable,
+                 items: Sequence[Tuple], then: Callable[[List], None],
+                 counted: Optional[str] = None) -> None:
+        """Run one stage: a pool task per item, results in item order.
+
+        ``submit`` is the pool's ``submit_<phase>`` and each item holds the
+        task's arguments after the study's epoch, key and config.  When
+        the last task lands (at once for no items) the stage is clocked
+        and ``then(results)`` starts the next one.  A task error fails the
+        study with that exception; an error in ``then`` fails it with a
+        :class:`WorkloadError` that names the study.  ``counted`` names
+        the size a ``shard-done`` event reports for a task's result.
+        """
+        results: List[object] = [None] * len(items)
+        remaining = [len(items)]
+        lock = threading.Lock()
+
+        def complete() -> None:
+            try:
+                self._clock(study, phase, tasks=len(results))
+                then(results)
+            except Exception as exc:
+                error = WorkloadError(
+                    f"scheduling study {study.key} failed: {exc}")
+                error.__cause__ = exc
+                study.fail(error)
+
+        def landed(index: int, value) -> None:
+            results[index] = value
+            with lock:
+                remaining[0] -= 1
+                last = remaining[0] == 0
+            self.tracker.emit(
+                "shard-done", key=study.key, phase=phase, task_done=True,
+                **({counted: len(value)} if counted else {}))
+            # A failed study or a finished suite chains no more work.
+            if last and study.error is None and not self.tracker.closed:
+                complete()
+
+        if not items:
+            complete()
+        for index, args in enumerate(items):
+            submit(self.epoch, study.key, study.config, *args,
+                   on_done=functools.partial(landed, index),
+                   on_error=study.fail)
+
+    def start(self, key: str, config: TraceGeneratorConfig,
+              started: float) -> _Study:
+        """Plan a study on the calling thread and start its first stage."""
+        study = _Study(key, config, started)
+        submissions = plan_submissions(config)
+        study.shards = plan_shards(config, submissions,
+                                   self.shards_per_study)
+        self._clock(study, "plan")
+        if (config.scenario is not None
+                and config.scenario.ranking_objective is not None):
+            self._transpile(study)
+        else:
+            self._synthesise(study, None)
+        return study
+
+    def _transpile(self, study: _Study) -> None:
+        """Rank mode: serve warm class pairs from the transpile cache and
+        shard the cold ones across the pool."""
+        with self.tracer.span("study.transpile-plan", study=study.key):
+            fleet = study.config.build_fleet()
+            pairs, class_stats = plan_transpile_classes(study.config, fleet)
+            warm, cold = _probe_transpile_cache(
+                pairs, fleet, study.config, self.transpile_cache)
+        study.transpile = {**class_stats, "warm": len(warm),
+                           "cold": len(cold)}
+        shards = plan_transpile_shards(cold, self.transpile_shards_per_study)
+        if shards:
+            self.tracker.add_tasks(len(shards))
+            self.tracker.emit("transpile-queued", key=study.key,
+                              phase="transpile", shards=len(shards),
+                              pairs=len(cold), cached=len(warm))
+        self._fan_out(
+            study, "transpile", self.pool.submit_transpile,
+            [(shard,) for shard in shards],
+            lambda computed: self._synthesise(
+                study, self._rank_table(study, warm, computed)),
+            counted="pairs")
+
+    def _rank_table(self, study: _Study, warm: List[TranspileSummary],
+                    shard_summaries: List[List[TranspileSummary]]
+                    ) -> ClassRankTable:
+        """Cache the computed class summaries and merge them with the warm
+        ones.  The table is sorted by (family, width, machine), so it is
+        identical for any shard count, completion order or warm/cold
+        split — which is what keeps cached and uncached rankings
+        byte-equal."""
+        computed = [summary for summaries in shard_summaries
+                    for summary in summaries]
+        if self.transpile_cache is not None:
+            for summary in computed:
+                self.transpile_cache.put(
+                    transpile_cache_key(summary.class_fingerprint,
+                                        summary.backend_fingerprint,
+                                        summary.level, summary.seed),
+                    summary)
+        # Metrics are recorded parent-side: worker-registry increments die
+        # with the worker, but the summaries carry the pass timings home.
+        registry = get_registry()
+        registry.counter(
+            "repro_transpile_classes_total", outcome="computed",
+            help="Equivalence-class transpiles of rank-mode studies, by "
+                 "whether the summary was computed or served from the "
+                 "transpile cache.").inc(len(computed))
+        registry.counter(
+            "repro_transpile_classes_total",
+            outcome="cache-hit").inc(len(warm))
         for summary in computed:
-            transpile_cache.put(
-                transpile_cache_key(summary.class_fingerprint,
-                                    summary.backend_fingerprint,
-                                    summary.level, summary.seed),
-                summary)
-    # Metrics are recorded parent-side: worker-registry increments die with
-    # the worker, but the summaries carry the pass timings home.
-    registry = get_registry()
-    registry.counter(
-        "repro_transpile_classes_total", outcome="computed",
-        help="Equivalence-class transpiles of rank-mode studies, by "
-             "whether the summary was computed or served from the "
-             "transpile cache.").inc(len(computed))
-    registry.counter(
-        "repro_transpile_classes_total",
-        outcome="cache-hit").inc(len(study.transpile_warm))
-    for summary in computed:
-        for pass_name, seconds in summary.pass_timings:
-            registry.histogram(
-                "repro_transpile_pass_seconds",
-                help="Wall-clock seconds per transpiler pass across "
-                     "rank-mode class transpiles.",
-                **{"pass": pass_name}).observe(seconds)
-    scenario = study.config.scenario
-    summaries = sorted(computed + study.transpile_warm,
-                       key=lambda s: (s.family, s.width, s.machine))
-    study.rank_table = ClassRankTable(
-        objective=scenario.ranking_objective,
-        level=scenario.ranking_level,
-        summaries=summaries)
-    tracker.emit("rank-table", key=study.key, phase="transpile",
-                 entries=len(summaries), computed=len(computed),
-                 cached=len(study.transpile_warm))
-    _queue_synthesis(pool, epoch, study, tracker)
+            for pass_name, seconds in summary.pass_timings:
+                registry.histogram(
+                    "repro_transpile_pass_seconds",
+                    help="Wall-clock seconds per transpiler pass across "
+                         "rank-mode class transpiles.",
+                    **{"pass": pass_name}).observe(seconds)
+        summaries = sorted(computed + warm,
+                           key=lambda s: (s.family, s.width, s.machine))
+        self.tracker.emit("rank-table", key=study.key, phase="transpile",
+                          entries=len(summaries), computed=len(computed),
+                          cached=len(warm))
+        scenario = study.config.scenario
+        return ClassRankTable(objective=scenario.ranking_objective,
+                              level=scenario.ranking_level,
+                              summaries=summaries)
 
+    def _synthesise(self, study: _Study,
+                    rank_table: Optional[ClassRankTable]) -> None:
+        self.tracker.add_tasks(len(study.shards))
+        self.tracker.emit("queued", key=study.key, shards=len(study.shards),
+                          submissions=sum(map(len, study.shards)))
+        self._fan_out(
+            study, "synthesis", self.pool.submit_synthesis,
+            [(shard, rank_table) for shard in study.shards],
+            lambda shard_jobs: self._simulate(study, shard_jobs),
+            counted="jobs")
 
-def _transpile_callback(pool: SharedWorkerPool, epoch: int,
-                        study: _PendingStudy, index: int,
-                        tracker: _SuiteTracker,
-                        transpile_cache: Optional[TranspileCache]):
-    """The completion callback of one transpile shard."""
+    def _simulate(self, study: _Study,
+                  shard_jobs: List[List[Job]]) -> None:
+        """Group the jobs by machine and simulate each machine group.
 
-    def _on_transpile_done(summaries):
-        try:
-            with study.lock:
-                study.transpile_shard_summaries[index] = summaries
-                study.transpile_remaining -= 1
-                is_last = study.transpile_remaining == 0
-            tracker.emit("shard-done", key=study.key, phase="transpile",
-                         task_done=True, pairs=len(summaries))
-            if is_last:
-                _finish_transpile(pool, epoch, study, tracker,
-                                  transpile_cache)
-        except BaseException as exc:  # surface on the collection thread
-            study.callback_error = exc
+        The jobs are taken in *shard order*, so the grouping — and every
+        simulation input — is independent of shard completion order.
+        """
+        jobs_by_machine: Dict[str, List[Job]] = {}
+        for jobs in shard_jobs:
+            for job in jobs:
+                jobs_by_machine.setdefault(job.backend_name, []).append(job)
+        study.groups = plan_machine_groups(
+            {name: len(jobs) for name, jobs in jobs_by_machine.items()},
+            self.pool.workers)
+        self.tracker.add_tasks(len(study.groups))
+        self.tracker.emit("sims-queued", key=study.key, phase="simulation",
+                          jobs=sum(map(len, shard_jobs)),
+                          groups=len(study.groups))
 
-    return _on_transpile_done
+        def simulated(columns: List[ShardColumns]) -> None:
+            study.columns = columns
+            study.done.set()
 
+        self._fan_out(
+            study, "simulation", self.pool.submit_simulation,
+            [(group, [job for name in group.machines
+                      for job in jobs_by_machine[name]])
+             for group in study.groups],
+            simulated)
 
-def _queue_simulations(pool: SharedWorkerPool, epoch: int,
-                       study: _PendingStudy, tracker: _SuiteTracker) -> None:
-    """Queue a study's machine-group simulations (last-shard callback).
-
-    Runs on whichever thread completed the study's final synthesis shard.
-    The merged job list is rebuilt in *shard order*, so the grouping — and
-    therefore every simulation input — is independent of shard completion
-    order.
-    """
-    jobs = [job for shard_jobs in study.shard_jobs for job in shard_jobs]
-    job_counts: Dict[str, int] = {}
-    jobs_by_machine: Dict[str, List[Job]] = {}
-    for job in jobs:
-        job_counts[job.backend_name] = job_counts.get(job.backend_name, 0) + 1
-        jobs_by_machine.setdefault(job.backend_name, []).append(job)
-    study.groups = plan_machine_groups(job_counts, pool.workers)
-    tracker.add_tasks(len(study.groups))
-    tracker.emit("sims-queued", key=study.key, phase="simulation",
-                 jobs=len(jobs), groups=len(study.groups))
-
-    def _on_group_done(_records, key=study.key):
-        tracker.emit("shard-done", key=key, phase="simulation",
-                     task_done=True)
-
-    study.sim_handles = [
-        pool.submit_simulation(
-            epoch, study.key, study.config, group,
-            [job for name in group.machines
-             for job in jobs_by_machine[name]],
-            callback=_on_group_done)
-        for group in study.groups
-    ]
-
-
-def _shard_callback(pool: SharedWorkerPool, epoch: int, study: _PendingStudy,
-                    index: int, tracker: _SuiteTracker):
-    """The completion callback of one synthesis shard."""
-
-    def _on_shard_done(jobs):
-        try:
-            with study.lock:
-                study.shard_jobs[index] = jobs
-                study.shards_remaining -= 1
-                is_last = study.shards_remaining == 0
-            tracker.emit("shard-done", key=study.key, phase="synthesis",
-                         task_done=True, jobs=len(jobs))
-            if is_last:
-                _queue_simulations(pool, epoch, study, tracker)
-        except BaseException as exc:  # surface on the collection thread
-            study.callback_error = exc
-
-    return _on_shard_done
+    def collect(self, study: _Study,
+                cache: Optional[TraceCache]) -> StudyResult:
+        """Wait for a study's stages, then merge it on the calling thread."""
+        study.done.wait()
+        if study.error is not None:
+            raise study.error
+        with self.tracer.timed("study.merge", study=study.key) as timer:
+            total_rows = sum(part.rows for part in study.columns)
+            trace = merge_shard_columns(study.columns, metadata={
+                "seed": study.config.seed,
+                "total_jobs": total_rows,
+                "months": study.config.months,
+                "trace_schema": TRACE_SCHEMA_VERSION,
+            })
+            cache_path = (cache.put(study.key, trace)
+                          if cache is not None else None)
+        study.timings["merge"] = timer.seconds
+        for phase, seconds in study.timings.items():
+            get_registry().counter(
+                "repro_runner_phase_seconds_total", phase=phase,
+                help="Cumulative wall-clock seconds spent per study "
+                     "phase across every run_suite call.").inc(seconds)
+        result = StudyResult(
+            trace=trace,
+            config=study.config,
+            workers=self.pool.workers,
+            num_shards=self.shards_per_study,
+            cache_key=study.key,
+            cache_path=cache_path,
+            timings={**study.timings,
+                     "total": time.perf_counter() - study.started},
+            shard_sizes=[len(shard) for shard in study.shards],
+            group_sizes=[group.expected_jobs for group in study.groups],
+            transpile=dict(study.transpile),
+        )
+        self.tracker.emit("study-done", key=study.key, jobs=total_rows,
+                          seconds=round(result.total_seconds, 3))
+        return result
 
 
 def run_suite(
@@ -493,7 +580,6 @@ def run_suite(
     cache: Optional[Union[TraceCache, str, Path]] = None,
     use_cache: bool = True,
     lazy_cache: bool = False,
-    progress: Optional[ProgressCallback] = None,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     transpile_workers: Optional[int] = None,
@@ -503,11 +589,15 @@ def run_suite(
     ``studies`` is an ordered sequence of ``(fingerprint, config)`` pairs
     with distinct fingerprints (deduplicate identical expansions first —
     the scenario engine does).  Cache hits are served immediately; every
-    miss has its synthesis shards queued up front, and a completion
-    callback queues its simulation groups the moment its last synthesis
-    shard lands, so the pool is never idle behind a per-study phase
-    barrier or the submission order of the suite.  Returns a dict keyed
-    by fingerprint, in ``studies`` order.
+    miss is planned and its first stage queued up front, and each later
+    stage is queued the moment the one before it completes, so the pool
+    is never idle behind a per-study phase barrier or the submission
+    order of the suite.  Returns a dict keyed by fingerprint, in
+    ``studies`` order.
+
+    Each study's ``timings`` hold one interval per stage (plan, transpile,
+    synthesis, simulation, merge): a pool stage runs from the end of the
+    stage before it to its last task landing, for any worker count.
 
     ``on_event`` receives structured :class:`SuiteEvent`s (shards
     completed / total with a wall-clock ETA, per-study completions) —
@@ -518,11 +608,9 @@ def run_suite(
 
     With ``pool=None`` a transient pool of :func:`default_workers` workers
     is created for the call (terminated, not joined, if a task fails).
-    Suite timings are wall-clock *wait* times per phase — they overlap
-    across studies, unlike the exclusive per-phase timings of a solo run.
 
     Rank-mode studies (``scenario.ranking_objective`` set) run an extra
-    **transpile** phase first: the study's cold equivalence-class pairs
+    **transpile** stage first: the study's cold equivalence-class pairs
     are sharded across ``transpile_workers`` pool tasks (default: the pool
     width), warm pairs come from the
     :class:`~repro.transpiler.cache.TranspileCache` living in the trace
@@ -536,7 +624,6 @@ def run_suite(
         raise WorkloadError(
             "run_suite requires distinct study fingerprints; deduplicate "
             "identical configs before scheduling them")
-    progress = progress or (lambda message: None)
     if cache is not None and not isinstance(cache, TraceCache):
         cache = TraceCache(cache)
     if pool is None:
@@ -544,235 +631,70 @@ def run_suite(
             return run_suite(
                 studies, transient, num_shards=num_shards, cache=cache,
                 use_cache=use_cache, lazy_cache=lazy_cache,
-                progress=progress, on_event=on_event,
-                should_stop=should_stop,
+                on_event=on_event, should_stop=should_stop,
                 transpile_workers=transpile_workers)
+    if not use_cache:
+        cache = None
 
-    shards_per_study = max(1, int(num_shards if num_shards is not None
-                                  else pool.workers))
-    transpile_shards_per_study = max(
-        1, int(transpile_workers if transpile_workers is not None
-               else pool.workers))
-    transpile_cache = (TranspileCache(cache.root)
-                       if use_cache and cache is not None else None)
-    epoch = pool.next_epoch()
-    tracker = _SuiteTracker(on_event)
-    results: Dict[str, StudyResult] = {}
-    pending: List[_PendingStudy] = []
-
-    def _check_cancel():
-        if should_stop is not None and should_stop():
-            raise SuiteCancelled("suite run cancelled")
-
-    tracer = get_tracer()
     studies_counter = get_registry().counter(
         "repro_runner_studies_total", outcome="simulated",
         help="Studies executed by run_suite, by outcome.")
     cache_hit_counter = get_registry().counter(
         "repro_runner_studies_total", outcome="cache-hit")
+    tracker = _SuiteTracker(on_event)
+    pipeline = _Pipeline(
+        pool, tracker,
+        shards_per_study=max(1, int(num_shards if num_shards is not None
+                                    else pool.workers)),
+        transpile_shards_per_study=max(
+            1, int(transpile_workers if transpile_workers is not None
+                   else pool.workers)),
+        transpile_cache=(TranspileCache(cache.root)
+                         if cache is not None else None))
+    tracer = pipeline.tracer
+    results: Dict[str, StudyResult] = {}
+    pending: List[_Study] = []
+
+    def _check_cancel():
+        if should_stop is not None and should_stop():
+            raise SuiteCancelled("suite run cancelled")
 
     try:
-        # Phase 1 — serve cache hits; queue every miss's synthesis shards
-        # with completion callbacks that chain its simulations.
         for key, config in studies:
             _check_cancel()
             started = time.perf_counter()
-            if use_cache and cache is not None:
-                cached = cache.get(key, lazy=lazy_cache)
-                if cached is not None:
-                    progress(f"cache hit for config {key}")
-                    tracker.emit("cache-hit", key=key, jobs=len(cached))
-                    cache_hit_counter.inc()
-                    # A cache hit still reports every phase — at zero
-                    # cost — so suite-level --profile-phases output stays
-                    # uniform; the zero-duration synthesis span marks the
-                    # skipped work in the trace view.
-                    now = time.perf_counter()
-                    tracer.instant("study.cache-hit", study=key,
-                                   jobs=len(cached))
-                    for phase in ("plan", "transpile", "synthesis",
-                                  "simulation", "merge"):
-                        tracer.record_span(
-                            f"study.{phase}", start=now, duration=0.0,
-                            args={"study": key, "cache_hit": True})
-                    results[key] = StudyResult(
-                        trace=cached,
-                        config=config,
-                        workers=pool.workers,
-                        num_shards=shards_per_study,
-                        cache_key=key,
-                        cache_hit=True,
-                        cache_path=cache.existing_path_for(key),
-                        timings={"plan": 0.0, "transpile": 0.0,
-                                 "synthesis": 0.0, "simulation": 0.0,
-                                 "merge": 0.0,
-                                 "total": time.perf_counter() - started},
-                    )
-                    continue
-            studies_counter.inc()
-            with tracer.timed("study.plan", study=key) as plan_timer:
-                submissions = plan_submissions(config)
-                shards = plan_shards(config, submissions, shards_per_study)
-            study = _PendingStudy(
-                key=key, config=config, shards=shards, started=started,
-                plan_seconds=plan_timer.seconds,
-                rank_mode=(config.scenario is not None
-                           and config.scenario.ranking_objective
-                           is not None),
-                num_submissions=len(submissions),
-                shard_jobs=[None] * len(shards),
-                shards_remaining=len(shards))
-            pending.append(study)
-            # Note: with an inline pool each submit runs (and may chain the
-            # study's later phases) synchronously right here.
-            if study.rank_mode:
-                # Rank mode: plan the equivalence-class transpiles, serve
-                # warm pairs from the disk cache, shard the cold ones.
-                # Synthesis is queued by the last transpile shard's
-                # completion callback (immediately, when nothing is cold).
-                with tracer.timed("study.transpile-plan",
-                                  study=key) as probe_timer:
-                    fleet = config.build_fleet()
-                    pairs, class_stats = plan_transpile_classes(config,
-                                                                fleet)
-                    warm, cold = _probe_transpile_cache(
-                        pairs, fleet, config, transpile_cache)
-                study.transpile_seconds = probe_timer.seconds
-                study.transpile_warm = warm
-                study.transpile_stats = {**class_stats, "warm": len(warm),
-                                         "cold": len(cold)}
-                progress(
-                    f"study {key} ranks over {class_stats['pairs']} class "
-                    f"transpiles ({len(warm)} cached) amortising "
-                    f"{class_stats['probes']} per-job probes"
-                )
-                if cold:
-                    study.transpile_shards = plan_transpile_shards(
-                        cold, transpile_shards_per_study)
-                    study.transpile_shard_summaries = \
-                        [None] * len(study.transpile_shards)
-                    study.transpile_remaining = len(study.transpile_shards)
-                    tracker.add_tasks(len(study.transpile_shards))
-                    tracker.emit("transpile-queued", key=key,
-                                 phase="transpile",
-                                 shards=len(study.transpile_shards),
-                                 pairs=len(cold), cached=len(warm))
-                    # Timed because an inline (workers == 1) pool runs the
-                    # shards synchronously right here — the phase-2 wait
-                    # would otherwise report a rank study's dominant cost
-                    # as zero.
-                    with tracer.timed("study.transpile-queue",
-                                      study=key) as submit_timer:
-                        study.transpile_handles = [
-                            pool.submit_transpile(
-                                epoch, key, config, shard,
-                                callback=_transpile_callback(
-                                    pool, epoch, study, index, tracker,
-                                    transpile_cache))
-                            for index, shard
-                            in enumerate(study.transpile_shards)
-                        ]
-                    study.transpile_seconds += submit_timer.seconds
-                else:
-                    _finish_transpile(pool, epoch, study, tracker,
-                                      transpile_cache)
-            else:
-                _queue_synthesis(pool, epoch, study, tracker)
-            progress(
-                f"queued {len(submissions)} submissions across {len(shards)} "
-                f"shards for study {key} ({pool.workers} workers)"
+            cached = (cache.get(key, lazy=lazy_cache)
+                      if cache is not None else None)
+            if cached is None:
+                studies_counter.inc()
+                pending.append(pipeline.start(key, config, started))
+                continue
+            tracker.emit("cache-hit", key=key, jobs=len(cached))
+            cache_hit_counter.inc()
+            # A cache hit still reports every phase — at zero cost — so
+            # suite-level --profile-phases output stays uniform; the
+            # zero-duration spans mark the skipped work in the trace view.
+            now = time.perf_counter()
+            tracer.instant("study.cache-hit", study=key, jobs=len(cached))
+            for phase in PHASES:
+                tracer.record_span(
+                    f"study.{phase}", start=now, duration=0.0,
+                    args={"study": key, "cache_hit": True})
+            results[key] = StudyResult(
+                trace=cached,
+                config=config,
+                workers=pool.workers,
+                num_shards=pipeline.shards_per_study,
+                cache_key=key,
+                cache_hit=True,
+                cache_path=cache.existing_path_for(key),
+                timings={**dict.fromkeys(PHASES, 0.0),
+                         "total": time.perf_counter() - started},
             )
 
-        # Phase 2 — collect each study in order.  Simulations were already
-        # queued by the last-shard callbacks; waiting on the synthesis
-        # handles first both propagates worker errors and guarantees the
-        # callbacks (which run before ``.get()`` returns) have finished.
         for study in pending:
             _check_cancel()
-            if study.rank_mode:
-                with tracer.timed(
-                        "study.transpile", study=study.key,
-                        shards=len(study.transpile_shards),
-                        warm=len(study.transpile_warm)) as transpile_timer:
-                    for handle in study.transpile_handles:
-                        handle.get()
-                study.transpile_seconds += transpile_timer.seconds
-                if study.callback_error is not None:
-                    raise WorkloadError(
-                        f"scheduling study {study.key} failed: "
-                        f"{study.callback_error}") from study.callback_error
-                progress(
-                    f"transpiled {sum(map(len, study.transpile_shards))} "
-                    f"cold classes for study {study.key} in "
-                    f"{study.transpile_seconds:.1f}s")
-            with tracer.timed("study.synthesis", study=study.key,
-                              shards=len(study.shards)) as synth_timer:
-                for handle in study.synth_handles:
-                    handle.get()
-            study.synthesis_seconds = synth_timer.seconds
-            if study.callback_error is not None:
-                raise WorkloadError(
-                    f"scheduling study {study.key} failed: "
-                    f"{study.callback_error}") from study.callback_error
-            jobs_total = sum(len(shard_jobs)
-                             for shard_jobs in study.shard_jobs)
-            progress(f"synthesised {jobs_total} jobs for study {study.key} "
-                     f"in {study.synthesis_seconds:.1f}s")
-
-            with tracer.timed("study.simulation", study=study.key,
-                              groups=len(study.groups)) as sim_timer:
-                per_group_columns = [handle.get()
-                                     for handle in study.sim_handles]
-            study.simulation_seconds = sim_timer.seconds
-            progress(f"simulated {len(study.groups)} machine groups for "
-                     f"study {study.key} in {study.simulation_seconds:.1f}s")
-
-            with tracer.timed("study.merge", study=study.key) as merge_timer:
-                total_rows = sum(part.rows for part in per_group_columns)
-                trace = merge_shard_columns(per_group_columns, metadata={
-                    "seed": study.config.seed,
-                    "total_jobs": total_rows,
-                    "months": study.config.months,
-                    "trace_schema": TRACE_SCHEMA_VERSION,
-                })
-                cache_path = None
-                if use_cache and cache is not None:
-                    cache_path = cache.put(study.key, trace)
-            merge_seconds = merge_timer.seconds
-
-            for phase, seconds in (("plan", study.plan_seconds),
-                                   ("transpile", study.transpile_seconds),
-                                   ("synthesis", study.synthesis_seconds),
-                                   ("simulation", study.simulation_seconds),
-                                   ("merge", merge_seconds)):
-                get_registry().counter(
-                    "repro_runner_phase_seconds_total", phase=phase,
-                    help="Cumulative wall-clock seconds spent per study "
-                         "phase across every run_suite call.").inc(seconds)
-
-            results[study.key] = StudyResult(
-                trace=trace,
-                config=study.config,
-                workers=pool.workers,
-                num_shards=shards_per_study,
-                cache_key=study.key,
-                cache_hit=False,
-                cache_path=cache_path,
-                timings={
-                    "plan": study.plan_seconds,
-                    "transpile": study.transpile_seconds,
-                    "synthesis": study.synthesis_seconds,
-                    "simulation": study.simulation_seconds,
-                    "merge": merge_seconds,
-                    "total": time.perf_counter() - study.started,
-                },
-                shard_sizes=[len(shard) for shard in study.shards],
-                group_sizes=[group.expected_jobs for group in study.groups],
-                transpile=dict(study.transpile_stats),
-            )
-            tracker.emit(
-                "study-done", key=study.key, jobs=total_rows,
-                seconds=round(results[study.key].total_seconds, 3))
+            results[study.key] = pipeline.collect(study, cache)
 
         tracker.emit("suite-done", studies=len(studies),
                      cache_hits=sum(1 for r in results.values()
@@ -780,10 +702,10 @@ def run_suite(
         return {key: results[key] for key, _ in studies}
     finally:
         # Abandoned tasks (cancel / worker failure) may still complete on
-        # the shared pool; silence their late events and let their epoch's
-        # worker state become evictable.
+        # the shared pool; silence their late events, chain no more
+        # stages, and let the epoch's worker state become evictable.
         tracker.close()
-        pool.release_epoch(epoch)
+        pool.release_epoch(pipeline.epoch)
 
 
 class StudyRunner:
@@ -802,7 +724,6 @@ class StudyRunner:
         workers: Optional[int] = None,
         num_shards: Optional[int] = None,
         cache: Optional[Union[TraceCache, str, Path]] = None,
-        progress: Optional[ProgressCallback] = None,
         lazy_cache: bool = False,
         pool: Optional[SharedWorkerPool] = None,
         on_event: Optional[EventCallback] = None,
@@ -821,7 +742,6 @@ class StudyRunner:
         #: serve cache hits as lazily loaded column datasets (cheap when the
         #: consumer — e.g. a scenario comparison — reads a few columns)
         self.lazy_cache = bool(lazy_cache)
-        self._progress = progress or (lambda message: None)
         self._on_event = on_event
 
     # -- execution ---------------------------------------------------------------------
@@ -829,28 +749,17 @@ class StudyRunner:
     def run(self, use_cache: bool = True) -> StudyResult:
         """Produce the merged study trace (from cache when possible)."""
         key = config_fingerprint(self.config)
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = SharedWorkerPool(self.workers)
-        try:
+        with (nullcontext(self.pool) if self.pool is not None
+              else SharedWorkerPool(self.workers)) as pool:
             results = run_suite(
                 [(key, self.config)], pool,
                 num_shards=self.num_shards,
                 cache=self.cache,
                 use_cache=use_cache,
                 lazy_cache=self.lazy_cache,
-                progress=self._progress,
                 on_event=self._on_event,
                 transpile_workers=self.transpile_workers,
             )
-        except BaseException:
-            if owned:
-                pool.terminate()
-            raise
-        else:
-            if owned:
-                pool.close()
         return results[key]
 
 
@@ -863,7 +772,6 @@ def run_study(
     workers: Optional[int] = None,
     num_shards: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
     use_cache: bool = True,
     lazy_cache: bool = False,
     pool: Optional[SharedWorkerPool] = None,
@@ -888,7 +796,6 @@ def run_study(
         workers=workers,
         num_shards=num_shards,
         cache=cache_dir,
-        progress=progress,
         lazy_cache=lazy_cache,
         pool=pool,
         on_event=on_event,

@@ -25,11 +25,12 @@ Determinism is preserved by construction:
   like a transient per-study pool would — while *concurrent* runs (several
   gateway jobs multiplexed onto one pool) cannot evict each other.
 
-Submissions accept an optional completion ``callback`` so the suite
-scheduler can react to a shard landing (e.g. queue a study's simulations
-the moment its last synthesis shard completes) instead of waiting on
-handles in submission order.  Callbacks run on the pool's result-handler
-thread (or inline with ``workers == 1``) and must never raise.
+Submissions take a completion callback and an error callback and return
+nothing, so the suite scheduler reacts to a task landing (e.g. queues a
+study's simulations the moment its last synthesis shard completes)
+instead of waiting on handles in submission order.  Callbacks run on the
+pool's result-handler thread (or inline with ``workers == 1``) and must
+never raise.
 
 With ``workers == 1`` the pool degrades to inline execution in the calling
 process — no subprocesses, same bytes.
@@ -188,21 +189,6 @@ def _simulate_task(payload: Tuple[int, int, str, TraceGeneratorConfig,
         [record_for(job, fleet) for job in ordered])
 
 
-class _ImmediateResult:
-    """Inline stand-in for ``AsyncResult`` when the pool has one worker."""
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(self, value, error=None):
-        self._value = value
-        self._error = error
-
-    def get(self, timeout=None):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 class _TracedValue:
     """A task result plus the spans its worker recorded while computing it.
 
@@ -232,18 +218,19 @@ def _traced_task(bundle):
     return _TracedValue(value, worker_tracer.export_spans())
 
 
-class _TracedHandle:
-    """Wraps an ``AsyncResult`` holding a :class:`_TracedValue`: ``get()``
-    unwraps the value and merges the worker spans (exactly once)."""
-
-    __slots__ = ("_handle", "_merge")
-
-    def __init__(self, handle, merge):
-        self._handle = handle
-        self._merge = merge
-
-    def get(self, timeout=None):
-        return self._merge(self._handle.get(timeout))
+def _adopt_spans(tracer: Tracer, result: _TracedValue, queued_at: float,
+                 kind: str, key: Optional[str]):
+    """Merge a traced task's worker spans into the parent tracer, with its
+    queue wait as a ``pool.queued`` span; returns the task's value."""
+    if result.spans:
+        task_start = min(span["start"] for span in result.spans)
+        if task_start > queued_at:
+            tracer.record_span(
+                "pool.queued", start=queued_at,
+                duration=task_start - queued_at,
+                args={"kind": kind, "study": key})
+        tracer.ingest(result.spans)
+    return result.value
 
 
 class SharedWorkerPool:
@@ -318,9 +305,11 @@ class SharedWorkerPool:
                 self._pool = context.Pool(processes=self.workers)
             return self._pool
 
-    def _submit(self, task, payload,
-                callback: Optional[Callable[[object], None]] = None,
-                kind: str = "task", key: Optional[str] = None):
+    def _submit(self, task, payload, kind: str, key: str,
+                on_done: Callable[[object], None],
+                on_error: Callable[[BaseException], None]) -> None:
+        if self._closed:
+            raise WorkloadError("this worker pool has been shut down")
         registry = get_registry()
         registry.counter(
             "repro_pool_tasks_total", kind=kind,
@@ -336,101 +325,62 @@ class SharedWorkerPool:
             help="Pool tasks that raised in a worker.")
         depth.inc()
         tracer = get_tracer()
+        # A traced parallel task runs under the worker-tracer wrapper and
+        # returns (value, spans); its landing merges the spans home.
+        traced = self.is_parallel and tracer.enabled
+        queued_at = time.perf_counter()
 
-        if not self.is_parallel:
-            if self._closed:
-                depth.dec()
-                raise WorkloadError("this worker pool has been shut down")
-            try:
-                with tracer.span(f"pool.{kind}", study=key,
-                                 worker=os.getpid()):
-                    value = task(payload)
-            except Exception as exc:
-                depth.dec()
-                failed.inc()
-                # Match apply_async semantics: errors surface on .get(),
-                # and the completion callback is not invoked.
-                return _ImmediateResult(None, error=exc)
+        def landed(result) -> None:
             depth.dec()
             completed.inc()
-            if callback is not None:
-                callback(value)
-            return _ImmediateResult(value)
+            if traced:
+                result = _adopt_spans(tracer, result, queued_at, kind, key)
+            on_done(result)
 
-        merge = None
-        if tracer.enabled:
-            # Ship the task through the worker-tracer wrapper; the worker
-            # returns (value, spans) and the first unwrap — the completion
-            # callback below, which multiprocessing runs before .get()
-            # returns — merges the spans into the parent tracer along with
-            # a synthesised queue-wait span.
-            queued_at = time.perf_counter()
-            task, payload = _traced_task, (task, payload, kind, key)
-            merge_lock = threading.Lock()
-            state = {"merged": False}
-
-            def merge(result):
-                if not isinstance(result, _TracedValue):
-                    return result
-                with merge_lock:
-                    first = not state["merged"]
-                    state["merged"] = True
-                if first and result.spans:
-                    task_start = min(span["start"]
-                                     for span in result.spans)
-                    if task_start > queued_at:
-                        tracer.record_span(
-                            "pool.queued", start=queued_at,
-                            duration=task_start - queued_at,
-                            args={"kind": kind, "study": key})
-                    tracer.ingest(result.spans)
-                return result.value
-
-        def _on_done(result):
-            depth.dec()
-            completed.inc()
-            try:
-                value = merge(result) if merge is not None else result
-            except Exception:
-                value = result.value if isinstance(result, _TracedValue) \
-                    else result
-            if callback is not None:
-                callback(value)
-
-        def _on_error(exc):
+        def raised(exc: BaseException) -> None:
             depth.dec()
             failed.inc()
+            on_error(exc)
 
-        handle = self._ensure_pool().apply_async(
-            task, (payload,), callback=_on_done, error_callback=_on_error)
-        if merge is not None:
-            return _TracedHandle(handle, merge)
-        return handle
+        if self.is_parallel:
+            if traced:
+                task, payload = _traced_task, (task, payload, kind, key)
+            self._ensure_pool().apply_async(
+                task, (payload,), callback=landed, error_callback=raised)
+            return
+        try:
+            with tracer.span(f"pool.{kind}", study=key, worker=os.getpid()):
+                value = task(payload)
+        except Exception as exc:
+            raised(exc)
+        else:
+            landed(value)
 
     def submit_synthesis(self, epoch: int, key: str,
                          config: TraceGeneratorConfig, shard: ShardSpec,
-                         callback: Optional[Callable[[object], None]] = None,
-                         rank_table: Optional[ClassRankTable] = None):
-        """Queue one synthesis shard; returns a handle with ``.get()``.
+                         rank_table: Optional[ClassRankTable] = None, *,
+                         on_done: Callable[[List[Job]], None],
+                         on_error: Callable[[BaseException], None]) -> None:
+        """Queue one synthesis shard.
 
-        ``callback`` (if given) receives the shard's job list when it
-        completes — on the pool's result-handler thread, or synchronously
-        for an inline pool.  It is not invoked when the task raises; the
-        error surfaces on ``.get()``.
+        ``on_done`` receives the shard's job list, ``on_error`` the
+        exception a failing task raised — on the pool's result-handler
+        thread, or synchronously for an inline pool.
 
         ``rank_table`` ships a rank-mode study's precomputed class
         summaries to the worker; pass the same table with every shard of
         the study.
         """
-        return self._submit(
+        self._submit(
             _synthesise_task,
             (epoch, self._epoch_floor(), key, config, shard, rank_table),
-            callback=callback, kind="synthesis", key=key)
+            "synthesis", key, on_done, on_error)
 
     def submit_transpile(self, epoch: int, key: str,
                          config: TraceGeneratorConfig, shard: TranspileShard,
-                         callback: Optional[Callable[[object], None]] = None):
-        """Queue one transpile shard; returns a handle with ``.get()``.
+                         *, on_done: Callable[[List[TranspileSummary]], None],
+                         on_error: Callable[[BaseException], None]) -> None:
+        """Queue one transpile shard.
 
         The worker transpiles each (family, width, machine) class
         representative of the shard at the study's ranking level and
@@ -438,25 +388,26 @@ class SharedWorkerPool:
         TranspileSummary` list.  Each summary is a pure function of its
         pair, so results are identical for any sharding.
         """
-        return self._submit(
+        self._submit(
             _transpile_task,
             (epoch, self._epoch_floor(), key, config, shard),
-            callback=callback, kind="transpile", key=key)
+            "transpile", key, on_done, on_error)
 
     def submit_simulation(self, epoch: int, key: str,
                           config: TraceGeneratorConfig, group: MachineGroup,
-                          jobs: Sequence[Job],
-                          callback: Optional[Callable[[object], None]] = None):
-        """Queue one machine-group simulation; returns a ``.get()`` handle.
+                          jobs: Sequence[Job], *,
+                          on_done: Callable[[ShardColumns], None],
+                          on_error: Callable[[BaseException], None]) -> None:
+        """Queue one machine-group simulation.
 
         The worker replays the group's machines through
         :func:`repro.cloud.fastsim.simulate_fleet` and returns the rows as
         :class:`~repro.workloads.trace.ShardColumns`.
         """
-        return self._submit(
+        self._submit(
             _simulate_task,
             (epoch, self._epoch_floor(), key, config, group, jobs),
-            callback=callback, kind="simulation", key=key)
+            "simulation", key, on_done, on_error)
 
     def close(self) -> None:
         """Drain outstanding work and release the workers (clean path)."""

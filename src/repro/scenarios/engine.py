@@ -20,6 +20,7 @@ served from the trace cache instead of being re-simulated.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -27,12 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.exceptions import ScenarioError
 from repro.devices.backend import Backend
 from repro.runner.cache import TraceCache, config_fingerprint
-from repro.runner.executor import (
-    EventCallback,
-    ProgressCallback,
-    StudyResult,
-    run_suite,
-)
+from repro.runner.executor import EventCallback, StudyResult, run_suite
 from repro.runner.pool import SharedWorkerPool
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.sweep import expand_sweeps
@@ -151,7 +147,6 @@ class ScenarioEngine:
         workers: Optional[int] = None,
         num_shards: Optional[int] = None,
         cache: Optional[Union[TraceCache, str, Path]] = None,
-        progress: Optional[ProgressCallback] = None,
         lazy_cache: bool = True,
         pool: Optional[SharedWorkerPool] = None,
         on_event: Optional[EventCallback] = None,
@@ -169,7 +164,6 @@ class ScenarioEngine:
         self.cache = cache
         self.lazy_cache = lazy_cache
         self.pool = pool
-        self._progress = progress or (lambda message: None)
         #: structured progress events (shards done/total + ETA) forwarded
         #: to run_suite; the gateway streams these over NDJSON and the CLI
         #: prints them under --progress
@@ -214,40 +208,21 @@ class ScenarioEngine:
         distinct: Dict[str, TraceGeneratorConfig] = {}
         first_names: Dict[str, str] = {}
         for scenario, config, key in expansions:
-            if key not in distinct:
-                distinct[key] = config
-                first_names[key] = scenario.name
-            else:
-                self._progress(
-                    f"scenario {scenario.name!r} expands to the same study "
-                    f"as {first_names[key]!r}; sharing its trace")
-        self._progress(
-            f"scheduling {len(distinct)} distinct studies "
-            f"({len(expansions)} scenarios) on one shared pool")
+            distinct.setdefault(key, config)
+            first_names.setdefault(key, scenario.name)
 
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = SharedWorkerPool(self.workers)
-        try:
+        with (nullcontext(self.pool) if self.pool is not None
+              else SharedWorkerPool(self.workers)) as pool:
             results = run_suite(
                 list(distinct.items()), pool,
                 num_shards=self.num_shards,
                 cache=self.cache,
                 use_cache=use_cache,
                 lazy_cache=self.lazy_cache,
-                progress=self._progress,
                 on_event=self._on_event,
                 should_stop=self._should_stop,
                 transpile_workers=self.transpile_workers,
             )
-        except BaseException:
-            if owned:
-                pool.terminate()
-            raise
-        else:
-            if owned:
-                pool.close()
 
         for scenario, config, key in expansions:
             deduplicated_from = None
@@ -267,7 +242,6 @@ def run_scenarios(
     workers: Optional[int] = None,
     num_shards: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
     use_cache: bool = True,
     lazy_cache: bool = True,
     pool: Optional[SharedWorkerPool] = None,
@@ -288,7 +262,6 @@ def run_scenarios(
         workers=workers,
         num_shards=num_shards,
         cache=cache_dir,
-        progress=progress,
         lazy_cache=lazy_cache,
         pool=pool,
         on_event=on_event,

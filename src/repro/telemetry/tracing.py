@@ -278,9 +278,11 @@ class _Timed:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.seconds = time.perf_counter() - self._start
-        if self._span is not None:
+        if self._span is None:
+            self.seconds = time.perf_counter() - self._start
+        else:  # one measurement, two views: the timer reads the span's
             self._span.__exit__(exc_type, exc, tb)
+            self.seconds = self._span.duration
         return False
 
 

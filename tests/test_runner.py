@@ -15,6 +15,7 @@ from repro.runner import (
     plan_shards,
     run_study,
 )
+from repro.telemetry import Tracer, set_tracer
 from repro.workloads.generator import (
     TraceGeneratorConfig,
     job_id_for_index,
@@ -107,9 +108,39 @@ class TestWorkerInvariance:
         result.trace.to_json(parallel_path)
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
-    def test_timings_reported(self, reference_result):
-        for stage in ("plan", "synthesis", "simulation", "merge", "total"):
-            assert stage in reference_result.timings
+    def test_timings_reported(self):
+        # A phase time is its stage interval, for any worker count: it
+        # covers the stage's longest pool task, the phases fit inside the
+        # total, and each equals the study's study.<phase> span.
+        phases = ("plan", "transpile", "synthesis", "simulation", "merge")
+        for workers in (1, 2):
+            tracer = Tracer(enabled=True)
+            previous = set_tracer(tracer)
+            try:
+                result = run_study(config=TraceGeneratorConfig(**CONFIG),
+                                   workers=workers, num_shards=2,
+                                   use_cache=False)
+            finally:
+                set_tracer(previous)
+            timings = result.timings
+            assert set(timings) == {*phases, "total"}
+            spans = tracer.spans()
+            for phase in ("synthesis", "simulation"):
+                tasks = [span["duration"] for span in spans
+                         if span["name"] == f"pool.{phase}"]
+                assert tasks, (workers, phase)
+                assert timings[phase] >= max(tasks), (workers, phase)
+            assert sum(timings[phase] for phase in phases) \
+                <= timings["total"], workers
+            for phase in phases:
+                stage = [span["duration"] for span in spans
+                         if span["name"] == f"study.{phase}"]
+                if phase == "transpile" and not stage:
+                    assert timings[phase] == 0.0  # not a rank study
+                    continue
+                assert len(stage) == 1, (workers, phase)
+                assert timings[phase] == pytest.approx(stage[0], abs=1e-3), \
+                    (workers, phase)
 
 
 class TestTraceCache:
@@ -145,6 +176,25 @@ class TestTraceCache:
 
 
 class TestCommandLine:
+    def test_stderr_lines_are_rendered_from_suite_events(self, capsys):
+        study = ["run-study", "--jobs", "200", "--months", "2",
+                 "--workers", "1", "--no-cache"]
+        assert main(study) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("[repro] ") for line in lines)
+        assert any(": synthesising 200 submissions in 1 shards" in line
+                   for line in lines)
+        assert lines[-1].startswith("[repro] suite done: 1 studies")
+        assert main([*study, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["run-scenarios", "--jobs", "200", "--months", "2",
+                     "--workers", "1", "--no-cache", "--scenarios",
+                     "baseline", "--progress", "--quiet"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        shards = [line for line in lines if " shards (" in line]
+        assert shards and all(", eta " in line for line in shards)
+        assert not any("synthesising" in line for line in lines)
+
     def test_run_study_writes_trace_and_caches(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         code = main([

@@ -7,9 +7,12 @@ count), seed-replicate fingerprints, sweep expansion, and the failure-path
 hygiene of the trace cache and the pool.
 """
 
+import threading
+
 import pytest
 
 from repro.core.exceptions import ScenarioError, WorkloadError
+from repro.devices.catalog import MACHINE_NAMES
 from repro.runner import (
     SharedWorkerPool,
     StudyRunner,
@@ -21,6 +24,7 @@ from repro.runner import (
 from repro.scenarios import (
     BacklogShift,
     DemandSurge,
+    FleetChange,
     MachineOutage,
     Scenario,
     ScenarioEngine,
@@ -33,7 +37,7 @@ from repro.scenarios import (
     resolve_scenarios,
     sweep_from_flags,
 )
-from repro.workloads.generator import TraceGeneratorConfig
+from repro.workloads.generator import ScenarioKnobs, TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
 
 CONFIG = dict(total_jobs=60, months=3, seed=11)
@@ -65,6 +69,30 @@ def _trace_bytes(tmp_path, tag, trace):
 
 def _exploding_task(payload):
     raise RuntimeError("worker blew up")
+
+
+def _bounded(call, timeout=240.0):
+    """Run ``call`` on a thread joined with a timeout, so that a hung
+    suite fails the test instead of stalling the run."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"run_suite hung for {timeout}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _study(config):
+    return [(config_fingerprint(config), config)]
 
 
 class TestSuiteDeterminism:
@@ -411,3 +439,62 @@ class TestSuiteEvents:
             results = run_suite(studies, pool, num_shards=2,
                                 use_cache=False, on_event=explode)
         assert len(results) == 1
+
+
+class TestStagePaths:
+    """The error and empty-stage paths of run_suite's stage pipeline, each
+    run bounded so that a stage that never completes fails the test."""
+
+    RANK = TraceGeneratorConfig(
+        total_jobs=30, months=2, seed=7,
+        scenario=ScenarioKnobs(ranking_objective="balanced"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("task", ["_transpile_task", "_synthesise_task",
+                                      "_simulate_task"])
+    def test_task_error_ends_the_suite(self, monkeypatch, task, workers):
+        from repro.runner import pool as pool_module
+
+        # Rank mode runs all three task kinds.  Patched before the pool
+        # forks, so the workers inherit the failing task.
+        monkeypatch.setattr(pool_module, task, _exploding_task)
+        with SharedWorkerPool(workers) as pool:
+            with pytest.raises(RuntimeError, match="worker blew up"):
+                _bounded(lambda: run_suite(_study(self.RANK), pool,
+                                           use_cache=False))
+            if workers == 1:
+                # The shared inline pool runs the next suite.
+                monkeypatch.undo()
+                results = _bounded(lambda: run_suite(
+                    _study(self.RANK), pool, use_cache=False))
+                assert len(results) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stage_completion_error_names_the_study(
+            self, base_config, monkeypatch, workers):
+        from repro.runner import executor
+
+        def explode(*args, **kwargs):
+            raise ValueError("grouping failed")
+
+        monkeypatch.setattr(executor, "plan_machine_groups", explode)
+        key = config_fingerprint(base_config)
+        with SharedWorkerPool(workers) as pool:
+            with pytest.raises(WorkloadError, match=key) as caught:
+                _bounded(lambda: run_suite(_study(base_config), pool,
+                                           use_cache=False))
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_with_every_job_dropped_is_empty(self, workers):
+        scenario = Scenario("armonk-only", perturbations=(FleetChange(
+            remove=tuple(name for name in MACHINE_NAMES
+                         if name != "ibmq_armonk")),))
+        config = scenario.apply_to(
+            TraceGeneratorConfig(total_jobs=30, months=2, seed=7))
+        with SharedWorkerPool(workers) as pool:
+            results = _bounded(lambda: run_suite(_study(config), pool,
+                                                 use_cache=False))
+        (result,) = results.values()
+        assert len(result.trace) == 0
+        assert result.group_sizes == []

@@ -17,7 +17,13 @@ import threading
 
 import pytest
 
-from repro.runner import TraceCache, config_fingerprint, run_study
+from repro.runner import (
+    SharedWorkerPool,
+    TraceCache,
+    config_fingerprint,
+    run_study,
+    run_suite,
+)
 from repro.telemetry import (
     MetricsRegistry,
     NULL_SPAN,
@@ -230,14 +236,19 @@ def _span_index(spans):
 class TestSpanTrees:
     @pytest.fixture(scope="class")
     def traced_spans(self):
-        """Spans of one two-worker study run on the process tracer."""
+        """Spans of a two-study suite on a two-worker pool, recorded by the
+        process tracer: the studies' stages run at the same time."""
         tracer = get_tracer()
         tracer.disable()
         tracer.reset()
         tracer.enable()
+        configs = (TraceGeneratorConfig(**CONFIG),
+                   TraceGeneratorConfig(**{**CONFIG, "seed": 24}))
         try:
-            run_study(config=TraceGeneratorConfig(**CONFIG), workers=2,
-                      num_shards=2, use_cache=False)
+            with SharedWorkerPool(2) as pool:
+                run_suite([(config_fingerprint(config), config)
+                           for config in configs],
+                          pool, num_shards=2, use_cache=False)
             spans = tracer.spans()
         finally:
             tracer.disable()
