@@ -280,24 +280,26 @@ class QuantumCircuit:
             two_qubit_only: count only two-qubit gates along the critical
                 path ("CX-Depth" from the paper) instead of all operations.
         """
-        frontier = [0] * max(self.num_qubits + self.num_clbits, 1)
-
-        def bit_slots(instruction: Instruction) -> List[int]:
-            slots = list(instruction.qubits)
-            slots.extend(self.num_qubits + c for c in instruction.clbits)
-            return slots
-
+        num_qubits = self.num_qubits
+        # One slot per qubit, then one per classical bit, so a measurement
+        # also waits for the last write to its clbit.
+        frontier = [0] * max(num_qubits + self.num_clbits, 1)
         for instruction in self._instructions:
-            if instruction.is_directive:
+            name = instruction.gate.name
+            if name == "barrier":
                 continue
-            weight = 1
-            if two_qubit_only and not instruction.is_two_qubit_gate:
-                weight = 0
-            slots = bit_slots(instruction)
-            level = max(frontier[s] for s in slots) + weight
+            slots = instruction.qubits
+            if instruction.clbits:
+                slots += tuple(num_qubits + c for c in instruction.clbits)
+            level = 0
+            for slot in slots:
+                if frontier[slot] > level:
+                    level = frontier[slot]
+            if not two_qubit_only or name in TWO_QUBIT_GATES:
+                level += 1
             for slot in slots:
                 frontier[slot] = level
-        return max(frontier) if frontier else 0
+        return max(frontier)
 
     @property
     def cx_depth(self) -> int:

@@ -605,6 +605,8 @@ def run_suite(
     polled between studies; when it returns True the run raises
     :class:`SuiteCancelled` (outstanding pool tasks finish in the
     background and are discarded — the shared pool itself is untouched).
+    A failed study ends the run the same way, with its error, and no
+    study is started after it.
 
     With ``pool=None`` a transient pool of :func:`default_workers` workers
     is created for the call (terminated, not joined, if a task fails).
@@ -655,13 +657,16 @@ def run_suite(
     results: Dict[str, StudyResult] = {}
     pending: List[_Study] = []
 
-    def _check_cancel():
+    def _check_stop():
         if should_stop is not None and should_stop():
             raise SuiteCancelled("suite run cancelled")
+        for study in pending:
+            if study.error is not None:
+                raise study.error
 
     try:
         for key, config in studies:
-            _check_cancel()
+            _check_stop()
             started = time.perf_counter()
             cached = (cache.get(key, lazy=lazy_cache)
                       if cache is not None else None)
@@ -693,7 +698,7 @@ def run_suite(
             )
 
         for study in pending:
-            _check_cancel()
+            _check_stop()
             results[study.key] = pipeline.collect(study, cache)
 
         tracker.emit("suite-done", studies=len(studies),

@@ -157,8 +157,11 @@ def _transpile_task(payload: Tuple[int, int, str, TraceGeneratorConfig,
                     seed=DEFAULT_RANK_SEED)
             # Replay the per-pass wall-clock as child spans.  The recorded
             # timings are summary telemetry, not span timestamps, so lay
-            # them end to end from the class start; the small gap to the
-            # parent's end is the non-pass overhead (layout, ESP).
+            # them end to end from the class start.  The gap to the
+            # parent's end is the work outside the passes: the one
+            # calibration snapshot the layout passes and the ESP share,
+            # the ESP, and the compiled size, depth and backend
+            # fingerprint the summary records.
             cursor = started
             for pass_name, seconds in summary.pass_timings:
                 tracer.record_span(

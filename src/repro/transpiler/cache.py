@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -179,18 +179,18 @@ def summarise_transpile(
 ) -> TranspileSummary:
     """Transpile one class representative and reduce it to a summary.
 
-    The transpile is pinned to :data:`PINNED_COMPILE_TIME` and the ESP to
-    the same epoch-zero calibration snapshot, so the ranking fields are a
-    pure function of the arguments — every worker, process and run computes
-    the same floats.
+    The transpile is pinned to :data:`PINNED_COMPILE_TIME`, and the ESP
+    reads the calibration snapshot the pass manager installed for it, so
+    the ranking fields are a pure function of the arguments — every worker,
+    process and run computes the same floats.
     """
     if class_fp is None:
         from repro.workloads.circuit_metrics import structural_fingerprint
         class_fp = structural_fingerprint(circuit)
     result = transpile(circuit, backend, optimization_level=level,
                        seed=seed, compile_time=PINNED_COMPILE_TIME)
-    calibration = backend.calibration_at(PINNED_COMPILE_TIME)
-    estimate = estimate_success_probability(result.circuit, calibration)
+    estimate = estimate_success_probability(
+        result.circuit, result.properties["calibration"])
     return TranspileSummary(
         family=family or circuit.name,
         width=circuit.num_qubits,

@@ -2,9 +2,11 @@
 
 The :class:`PassManager` runs a pipeline of passes over a circuit and
 records a :class:`PassTiming` per pass — the data behind the paper's Fig. 5
-compile-time breakdown.  The result object also carries the final layout and
-the property set so downstream consumers (fidelity estimation, calibration
-crossover analysis) can inspect what the compiler decided.
+compile-time breakdown.  A timing is a pass name and its wall-clock seconds
+only: the manager never rescans the circuit between passes.  The result
+object also carries the final layout and the property set so downstream
+consumers (fidelity estimation, calibration crossover analysis) can inspect
+what the compiler decided.
 """
 
 from __future__ import annotations
@@ -22,14 +24,10 @@ from repro.transpiler.passes.base import BasePass, PropertySet
 
 @dataclass(frozen=True)
 class PassTiming:
-    """Wall-clock cost and effect of one pass execution."""
+    """One pass execution: the pass name and its wall-clock seconds."""
 
     pass_name: str
     seconds: float
-    gates_before: int
-    gates_after: int
-    depth_before: int
-    depth_after: int
 
 
 @dataclass
@@ -127,21 +125,10 @@ class PassManager:
         current = circuit
         timings: List[PassTiming] = []
         for pass_instance in self._passes:
-            gates_before = current.size
-            depth_before = current.depth()
             started = time.perf_counter()
             current = pass_instance.run(current, properties)
-            elapsed = time.perf_counter() - started
-            timings.append(
-                PassTiming(
-                    pass_name=pass_instance.name,
-                    seconds=elapsed,
-                    gates_before=gates_before,
-                    gates_after=current.size,
-                    depth_before=depth_before,
-                    depth_after=current.depth(),
-                )
-            )
+            timings.append(PassTiming(pass_instance.name,
+                                      time.perf_counter() - started))
         return TranspileResult(circuit=current, timings=timings,
                                properties=properties)
 

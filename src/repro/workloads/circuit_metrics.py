@@ -137,14 +137,14 @@ def logical_metrics(family: str, width: int) -> CircuitMetrics:
             for instruction in circuit.two_qubit_instructions()
         )
         expansion = cx_equivalent / raw_two_qubit if raw_two_qubit else 1.0
+        depth = circuit.depth()
+        cx_depth = circuit.cx_depth
         return CircuitMetrics(
             width=circuit.num_qubits,
-            depth=max(circuit.depth(),
-                      int(round(circuit.depth() * (0.5 + 0.5 * expansion)))),
+            depth=max(depth, int(round(depth * (0.5 + 0.5 * expansion)))),
             num_gates=circuit.num_gates + (cx_equivalent - raw_two_qubit),
             cx_count=cx_equivalent,
-            cx_depth=max(circuit.cx_depth,
-                         int(round(circuit.cx_depth * expansion))),
+            cx_depth=max(cx_depth, int(round(cx_depth * expansion))),
         )
     return _analytic_metrics(family, width)
 

@@ -3,10 +3,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import pearson_correlation, summarize
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import random_circuit
 from repro.circuits.qasm import from_qasm, to_qasm
 from repro.cloud.queues import FairShareQueue
@@ -37,6 +38,52 @@ circuit_strategy = st.builds(
 )
 
 
+@st.composite
+def mixed_circuits(draw):
+    """Circuits of 1-3 qubit gates, measurements (possibly several into one
+    clbit), resets and barriers over any subset of qubits."""
+    num_qubits = draw(st.integers(min_value=1, max_value=5))
+    num_clbits = draw(st.integers(min_value=1, max_value=3))
+    circuit = QuantumCircuit(num_qubits, num_clbits)
+    qubit = st.integers(min_value=0, max_value=num_qubits - 1)
+    # Measurements drawn twice as often, so clbit chains are common.
+    names = ["h", "rz", "reset", "measure", "measure", "barrier"]
+    if num_qubits >= 2:
+        names += ["cx", "swap", "rzz"]
+    if num_qubits >= 3:
+        names += ["ccx"]
+    for name in draw(st.lists(st.sampled_from(names), max_size=30)):
+        if name == "measure":
+            circuit.measure(draw(qubit), draw(st.integers(
+                min_value=0, max_value=num_clbits - 1)))
+        elif name == "barrier":
+            circuit.barrier(*draw(st.lists(qubit, min_size=1, unique=True)))
+        else:
+            width = {"cx": 2, "swap": 2, "rzz": 2, "ccx": 3}.get(name, 1)
+            params = [0.5] if name in ("rz", "rzz") else []
+            circuit.apply(name, draw(st.lists(
+                qubit, min_size=width, max_size=width, unique=True)), params)
+    return circuit
+
+
+def _slot_list_depth(circuit, two_qubit_only=False):
+    """Reference ``QuantumCircuit.depth``: each instruction's qubit and
+    clbit slots gathered into a list, the level taken as their max."""
+    frontier = [0] * max(circuit.num_qubits + circuit.num_clbits, 1)
+    for instruction in circuit:
+        if instruction.is_directive:
+            continue
+        weight = 1
+        if two_qubit_only and not instruction.is_two_qubit_gate:
+            weight = 0
+        slots = list(instruction.qubits)
+        slots.extend(circuit.num_qubits + c for c in instruction.clbits)
+        level = max(frontier[s] for s in slots) + weight
+        for slot in slots:
+            frontier[slot] = level
+    return max(frontier)
+
+
 class TestCircuitProperties:
     @given(circuit=circuit_strategy)
     @settings(max_examples=40, deadline=None)
@@ -48,6 +95,15 @@ class TestCircuitProperties:
     def test_cx_depth_bounded_by_cx_count_and_depth(self, circuit):
         assert circuit.cx_depth <= circuit.cx_count
         assert circuit.cx_depth <= circuit.depth()
+
+    @given(circuit=mixed_circuits())
+    @example(circuit=QuantumCircuit(2, 1).h(0).h(0).measure(0, 0)
+             .measure(1, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_depth_matches_slot_list_reference(self, circuit):
+        assert circuit.depth() == _slot_list_depth(circuit)
+        assert circuit.cx_depth == _slot_list_depth(circuit,
+                                                    two_qubit_only=True)
 
     @given(circuit=circuit_strategy)
     @settings(max_examples=30, deadline=None)

@@ -470,6 +470,36 @@ class TestStagePaths:
                 assert len(results) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_study_stops_the_suite(self, monkeypatch, workers):
+        from repro.runner import pool as pool_module
+
+        real_task = pool_module._synthesise_task
+        calls = []
+
+        def first_synthesis_fails(payload):
+            calls.append(payload[2])
+            if len(calls) == 1:
+                raise RuntimeError("worker blew up")
+            return real_task(payload)
+
+        # Forked workers need a picklable task, and their calls cannot be
+        # counted here: every synthesis task fails there instead.
+        monkeypatch.setattr(
+            pool_module, "_synthesise_task",
+            first_synthesis_fails if workers == 1 else _exploding_task)
+        base = TraceGeneratorConfig(total_jobs=200, months=3, seed=11)
+        studies = [(config_fingerprint(config), config) for config in (
+            scenario.apply_to(base) for scenario in resolve_scenarios(
+                ("baseline", "demand-surge", "machine-outage")))]
+        with SharedWorkerPool(workers) as pool:
+            with pytest.raises(RuntimeError, match="worker blew up"):
+                _bounded(lambda: run_suite(studies, pool, use_cache=False))
+        if workers == 1:
+            # The inline pool ran the first study's only synthesis shard;
+            # no later study was started after it failed.
+            assert calls == [studies[0][0]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_stage_completion_error_names_the_study(
             self, base_config, monkeypatch, workers):
         from repro.runner import executor

@@ -13,9 +13,12 @@ The load-bearing properties:
   the ranking sees.
 """
 
+import hashlib
+import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,86 @@ class TestTranspileCache:
     def test_cache_key_separates_levels(self):
         assert transpile_cache_key("a" * 24, "b" * 24, 2) \
             != transpile_cache_key("a" * 24, "b" * 24, 3)
+
+
+#: (family, width, machine) classes pinned by the compiled-fields golden:
+#: every family on line (athens), T (lima), bowtie (ibmqx2), Falcon
+#: (casablanca, guadalupe, paris, toronto), heavy-hex (rochester, manhattan),
+#: Melbourne, Tokyo and the simulator.
+_GOLDEN_CLASSES = (
+    ("qft", 3, "ibmq_athens"), ("qft", 5, "ibmq_lima"),
+    ("qft", 7, "ibmq_casablanca"), ("qft", 4, "ibmqx2"),
+    ("qft", 6, "ibmq_qasm_simulator"), ("qft", 9, "ibmq_manhattan"),
+    ("ghz", 5, "ibmq_athens"), ("ghz", 3, "ibmq_lima"),
+    ("ghz", 7, "ibmq_casablanca"), ("ghz", 12, "ibmq_guadalupe"),
+    ("ghz", 16, "ibmq_manhattan"), ("ghz", 10, "ibmq_qasm_simulator"),
+    ("bv", 4, "ibmq_athens"), ("bv", 5, "ibmq_lima"),
+    ("bv", 6, "ibmq_casablanca"), ("bv", 9, "ibmq_paris"),
+    ("bv", 8, "ibmq_rochester"), ("bv", 7, "ibmq_qasm_simulator"),
+    ("qaoa", 5, "ibmq_athens"), ("qaoa", 4, "ibmq_lima"),
+    ("qaoa", 6, "ibmq_casablanca"), ("qaoa", 8, "ibmq_toronto"),
+    ("qaoa", 6, "ibmq_manhattan"), ("qaoa", 5, "ibmq_qasm_simulator"),
+    ("vqe", 5, "ibmq_athens"), ("vqe", 3, "ibmq_lima"),
+    ("vqe", 7, "ibmq_casablanca"), ("vqe", 10, "ibmq_guadalupe"),
+    ("vqe", 8, "ibmq_manhattan"), ("vqe", 4, "ibmq_qasm_simulator"),
+    ("random", 2, "ibmq_athens"), ("random", 5, "ibmq_lima"),
+    ("random", 4, "ibmq_casablanca"), ("random", 6, "ibmq_16_melbourne"),
+    ("random", 7, "ibmq_20_tokyo"), ("random", 6, "ibmq_qasm_simulator"),
+)
+
+#: sha256 over those classes' summaries at levels 1 and 3, pass timings
+#: excluded.  Ranking reads only the ESP and the CX counts, so this is the
+#: one check on ``compiled_size``, ``compiled_depth`` and ``swap_count``.
+_GOLDEN_SUMMARIES_SHA256 = (
+    "8bab00a07ecfc44fb5df2403817b2188cb5553bff3b380914e020965d4c6b173")
+
+
+class TestCompiledFieldsGolden:
+    def test_class_summaries_match_golden(self):
+        backends = {}
+        summaries = []
+        for level in (1, 3):
+            for family, width, machine in _GOLDEN_CLASSES:
+                if machine not in backends:
+                    backends[machine] = build_backend(machine, seed=3)
+                fields = compute_class_summary(
+                    family, width, backends[machine], level).as_dict()
+                del fields["pass_timings"]
+                summaries.append(fields)
+        digest = hashlib.sha256(
+            json.dumps(summaries, sort_keys=True).encode()).hexdigest()
+        assert digest == _GOLDEN_SUMMARIES_SHA256
+
+
+class TestClassTranspileWork:
+    def test_level3_summary_scans_circuit_and_calibration_sparingly(
+            self, monkeypatch):
+        from repro.circuits.circuit import QuantumCircuit
+        from repro.devices.calibration import CalibrationModel
+
+        circuit = representative_circuit("qft", 5)
+        backend = build_backend("ibmq_athens", seed=3)
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(QuantumCircuit, "depth")
+        count(QuantumCircuit, "gate_counts")
+        count(CalibrationModel, "snapshot_at")
+        summarise_transpile(circuit, backend, 3)
+        # depth: the Depth pass (depth and cx_depth), the ESP's cx_depth
+        # and compiled_depth; gate_counts: compiled_size; one calibration
+        # snapshot serves both the layout passes and the ESP.
+        assert calls["depth"] <= 4
+        assert calls["gate_counts"] <= 1
+        assert calls["snapshot_at"] == 1
 
 
 class TestRanking:
