@@ -37,9 +37,9 @@ BENCH_WORKERS = env_int("REPRO_BENCH_WORKERS", default_workers())
 BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE", ".repro-cache")
 
 #: The paper-shape assertions (growth ratios, distribution medians, machine
-#: coverage) only hold once the trace approaches the paper's scale.  Reduced
-#: runs — like the CI smoke job at 200 jobs / 2 months — still exercise and
-#: time every analysis but skip those final assertions.
+#: coverage) only hold once the trace approaches the paper's scale, which is
+#: where CI runs them.  Reduced runs (say 200 jobs / 2 months) still
+#: exercise and time every analysis but skip those final assertions.
 FULL_SCALE = BENCH_JOBS >= 2000 and BENCH_MONTHS >= 20
 
 

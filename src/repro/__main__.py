@@ -9,8 +9,6 @@ sharded study runner and the analysis layer:
   a trace file or a freshly generated trace.
 * ``repro report`` — the full characterisation report: fleet dashboard plus
   all reproduced figures.
-* ``repro bench`` — measure the runner's multi-worker speedup and write the
-  ``BENCH_runner.json`` artifact consumed by CI.
 * ``repro export`` — export a trace for external notebooks: Parquet or
   Feather/Arrow IPC through the optional ``pyarrow`` dependency, or the
   built-in csv/json/npz formats.
@@ -42,20 +40,18 @@ span durations as per-phase stderr lines.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import gc
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis import reproduce_all
 from repro.analysis.compare import compare_suite
 from repro.core.env import env_int
 from repro.core.exceptions import ReproError
-from repro.runner import StudyResult, default_workers, run_study
+from repro.runner import StudyResult, run_study
 from repro.scenarios import (
     ScenarioEngine,
     builtin_scenarios,
@@ -71,7 +67,34 @@ from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
 
 
+#: The study knobs that a spec's ``[study]`` table, or the gateway's own
+#: base config, supplies unless they are given: flag dest -> (config field,
+#: environment variable).
+_STUDY_KNOBS = {"jobs": ("total_jobs", "REPRO_BENCH_JOBS"),
+                "months": ("months", "REPRO_BENCH_MONTHS"),
+                "seed": ("seed", "REPRO_BENCH_SEED")}
+
+
+class _Given(argparse.Action):
+    """``store`` that also adds the flag's dest to ``namespace.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
+def _study_overrides(args: argparse.Namespace) -> Dict[str, int]:
+    """The study knobs given as a flag or a ``REPRO_BENCH_*`` variable, by
+    config field, whatever their values; a knob left to its built-in
+    default is absent."""
+    return {field: getattr(args, dest)
+            for dest, (field, _) in _STUDY_KNOBS.items() if dest in args.given}
+
+
 def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(given=frozenset(
+        dest for dest, (_, variable) in _STUDY_KNOBS.items()
+        if env_int(variable, None) is not None))
     parser.add_argument(
         "--memory-budget", default=os.environ.get("REPRO_MEMORY_BUDGET"),
         metavar="BYTES",
@@ -79,13 +102,16 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
              "datasets past it chunk into blocks that spill to disk "
              "(default: $REPRO_MEMORY_BUDGET, or fully resident)")
     parser.add_argument(
-        "--jobs", type=int, default=env_int("REPRO_BENCH_JOBS", 6000),
+        "--jobs", type=int, action=_Given,
+        default=env_int("REPRO_BENCH_JOBS", 6000),
         help="total jobs of the study trace (default: %(default)s)")
     parser.add_argument(
-        "--months", type=int, default=env_int("REPRO_BENCH_MONTHS", 28),
+        "--months", type=int, action=_Given,
+        default=env_int("REPRO_BENCH_MONTHS", 28),
         help="length of the study window in months (default: %(default)s)")
     parser.add_argument(
-        "--seed", type=int, default=env_int("REPRO_BENCH_SEED", 7),
+        "--seed", type=int, action=_Given,
+        default=env_int("REPRO_BENCH_SEED", 7),
         help="root seed of the study (default: %(default)s)")
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -286,189 +312,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    worker_counts: List[int] = sorted({
-        max(1, int(w)) for w in args.worker_counts.split(",") if w.strip()
-    })
-    if not worker_counts:
-        worker_counts = [1, default_workers()]
-    config = TraceGeneratorConfig(
-        total_jobs=args.jobs, months=args.months, seed=args.seed)
-    runs: Dict[int, Dict[str, float]] = {}
-    for workers in worker_counts:
-        started = time.perf_counter()
-        result = run_study(
-            config=config, workers=workers, num_shards=args.shards,
-            use_cache=False, on_event=_event_printer(args))
-        elapsed = time.perf_counter() - started
-        runs[workers] = {
-            "seconds": round(elapsed, 3),
-            **{f"{name}_seconds": round(value, 3)
-               for name, value in result.timings.items()},
-        }
-        print(f"workers={workers}: {elapsed:.2f}s "
-              f"({len(result.trace)} jobs)")
-    baseline = runs[worker_counts[0]]["seconds"]
-    payload = {
-        "benchmark": "runner_scaling",
-        "jobs": args.jobs,
-        "months": args.months,
-        "seed": args.seed,
-        "cpu_count": os.cpu_count(),
-        "runs": {
-            str(workers): {
-                **metrics,
-                "speedup": round(baseline / metrics["seconds"], 3)
-                if metrics["seconds"] > 0 else None,
-            }
-            for workers, metrics in runs.items()
-        },
-    }
-    best = max(runs, key=lambda w: baseline / runs[w]["seconds"])
-    payload["best_speedup"] = round(baseline / runs[best]["seconds"], 3)
-    payload["best_workers"] = best
-
-    # Simulation-phase breakdown, measured directly on the two cores (a
-    # study's simulation timing covers the batched core only, plus the
-    # grouping and the pool round trip): one fresh synthesis per engine —
-    # simulation mutates jobs in place — then the simulation alone is
-    # timed.  The terminal job states determine the trace bytes, so their
-    # equality is the byte-equivalence smoke check; a divergence fails the
-    # bench run.
-    from repro.cloud.fastsim import simulate_fleet
-    from repro.cloud.service import QuantumCloudService
-    from repro.workloads.generator import JobSynthesizer, plan_submissions
-
-    def _synthesise_for_engine():
-        fleet = config.build_fleet()
-        synthesizer = JobSynthesizer(config, fleet)
-        jobs = synthesizer.synthesise_many(plan_submissions(config))
-        return fleet, [job for job in jobs if job is not None]
-
-    engines: Dict[str, Dict[str, object]] = {}
-    outcomes: Dict[str, List[tuple]] = {}
-    sim_raw: Dict[str, float] = {}
-    for engine in ("event", "batched"):
-        sim_seconds = float("inf")
-        for _ in range(5):  # best-of-5: drop cold-start and GC noise
-            fleet, engine_jobs = _synthesise_for_engine()
-            gc.collect()  # the study above leaves collectable garbage
-            started = time.perf_counter()
-            if engine == "event":
-                service = QuantumCloudService(
-                    fleet, seed=config.seed,
-                    failure_model=config.build_failure_model())
-                for job in sorted(engine_jobs,
-                                  key=lambda j: (j.submit_time, j.job_id)):
-                    service.submit(job)
-                service.drain()
-            else:
-                simulate_fleet(fleet, engine_jobs, seed=config.seed,
-                               failure_model=config.build_failure_model())
-            sim_seconds = min(sim_seconds,
-                              time.perf_counter() - started)
-        sim_raw[engine] = sim_seconds
-        outcomes[engine] = sorted(
-            (job.job_id, job.status.value, job.queue_enter_time,
-             job.start_time, job.end_time, job.pending_ahead)
-            for job in engine_jobs)
-        statuses = [job.status.value for job in engine_jobs]
-        # ~4 events per completed job (dispatch/start/finish/chained
-        # dispatch), ~3 per cancellation (dispatch/cancel/chained).
-        events = (4 * sum(1 for s in statuses if s in ("DONE", "ERROR"))
-                  + 3 * sum(1 for s in statuses if s == "CANCELLED"))
-        engines[engine] = {
-            "simulation_seconds": round(sim_seconds, 6),
-            "jobs": len(engine_jobs),
-            "events": events,
-            "events_per_second": round(events / sim_seconds, 1)
-            if sim_seconds > 0 else None,
-        }
-        print(f"engine={engine}: simulation phase {sim_seconds:.3f}s "
-              f"({events} events)")
-    byte_identical = outcomes["event"] == outcomes["batched"]
-    event_sim = sim_raw["event"]
-    batched_sim = sim_raw["batched"]
-    payload["simulation_engines"] = {
-        **engines,
-        "speedup": round(event_sim / batched_sim, 3)
-        if batched_sim > 0 else None,
-        "byte_identical": byte_identical,
-    }
-
-    # Telemetry overhead: the batched simulation re-timed with the span
-    # tracer *enabled* must stay within 2% (plus a 5 ms floor for timer
-    # noise at smoke scale) of the tracer-off best-of-5 above — the
-    # acceptance bound on the instrumentation's cost.
-    tracer = get_tracer()
-    tracer_was_enabled = tracer.enabled  # honour an outer --trace-out
-    enabled_sim = float("inf")
-    tracer.enable()
-    try:
-        for _ in range(5):
-            fleet, engine_jobs = _synthesise_for_engine()
-            gc.collect()
-            started = time.perf_counter()
-            simulate_fleet(fleet, engine_jobs, seed=config.seed,
-                           failure_model=config.build_failure_model())
-            enabled_sim = min(enabled_sim, time.perf_counter() - started)
-    finally:
-        if not tracer_was_enabled:
-            tracer.disable()
-    telemetry_ok = enabled_sim <= batched_sim * 1.02 + 0.005
-    payload["telemetry"] = {
-        "batched_seconds_tracing_off": round(batched_sim, 6),
-        "batched_seconds_tracing_on": round(enabled_sim, 6),
-        "overhead_fraction": round(enabled_sim / batched_sim - 1.0, 4)
-        if batched_sim > 0 else None,
-        "within_bound": telemetry_ok,
-    }
-    print(f"telemetry: batched sim {batched_sim:.3f}s off / "
-          f"{enabled_sim:.3f}s on "
-          f"({payload['telemetry']['overhead_fraction']:+.1%} overhead)")
-
-    # One fully traced study at the best worker count: its Chrome trace
-    # becomes the TRACE_sample.json CI artifact, and the per-phase span
-    # totals it accumulates on the registry land in the payload next to
-    # the engine numbers.
-    if not tracer_was_enabled:
-        tracer.reset()
-    tracer.enable()
-    try:
-        run_study(config=config, workers=best, num_shards=args.shards,
-                  use_cache=False)
-    finally:
-        if not tracer_was_enabled:
-            tracer.disable()
-    sample_path = Path(args.trace_sample)
-    tracer.write_chrome_trace(sample_path)
-    registry = get_registry()
-    payload["phase_spans"] = {
-        phase: round(registry.value("repro_runner_phase_seconds_total",
-                                    phase=phase), 3)
-        for phase in ("plan", "synthesis", "simulation", "merge")
-    }
-    print(f"sample span trace written to {sample_path} "
-          f"({len(tracer.spans())} spans)")
-
-    output = Path(args.output)
-    output.write_text(json.dumps(payload, indent=2))
-    print(f"benchmark results written to {output} "
-          f"(best speedup {payload['best_speedup']}x at {best} workers, "
-          f"batched engine "
-          f"{payload['simulation_engines']['speedup']}x vs event)")
-    if not byte_identical:
-        print("repro bench: batched and event engine traces DIVERGED — "
-              "the golden byte-equivalence contract is broken",
-              file=sys.stderr)
-        return 1
-    if not telemetry_ok:
-        print("repro bench: span tracing overhead exceeded the 2% bound "
-              "on the batched simulation engine", file=sys.stderr)
-        return 1
-    return 0
-
-
 # -- scenario subcommands -----------------------------------------------------------
 
 
@@ -503,29 +346,20 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 def _resolve_suite(args: argparse.Namespace):
     """(base config, scenarios, catalog) for the scenario subcommands.
 
-    A spec file's ``[study]`` table sets the baseline, but knobs given
-    explicitly on the command line (or through the ``REPRO_BENCH_*``
-    environment) win over it.
+    A spec file's ``[study]`` table sets the baseline, but knobs given on
+    the command line or through the ``REPRO_BENCH_*`` environment win over
+    it.
     """
-    base = TraceGeneratorConfig(
-        total_jobs=args.jobs, months=args.months, seed=args.seed)
+    knobs = {field: getattr(args, dest)
+             for dest, (field, _) in _STUDY_KNOBS.items()}
     if args.spec:
         spec = load_suite(args.spec)
         catalog = spec.catalog()
-        cli_set = {
-            name for name, value, default in (
-                ("total_jobs", args.jobs, 6000),
-                ("months", args.months, 28),
-                ("seed", args.seed, 7),
-            ) if value != default
-        }
-        overrides = {key: value
-                     for key, value in spec.study_overrides.items()
-                     if key not in cli_set}
-        if overrides:
-            base = dataclasses.replace(base, **overrides)
+        knobs.update(spec.study_overrides)
+        knobs.update(_study_overrides(args))
     else:
         catalog = builtin_scenarios()
+    base = TraceGeneratorConfig(**knobs)
     names = None
     if args.scenarios:
         names = tuple(name.strip() for name in args.scenarios.split(",")
@@ -645,18 +479,6 @@ def cmd_compare_scenarios(args: argparse.Namespace) -> int:
 def _service_url(args: argparse.Namespace) -> str:
     return (args.url or os.environ.get("REPRO_SERVICE_URL")
             or "http://127.0.0.1:8765")
-
-
-def _study_overrides(args: argparse.Namespace) -> Dict[str, int]:
-    """Baseline knobs the user set explicitly (defaults stay server-side)."""
-    return {
-        name: value
-        for name, value, default in (
-            ("total_jobs", args.jobs, 6000),
-            ("months", args.months, 28),
-            ("seed", args.seed, 7),
-        ) if value != default
-    }
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -874,21 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rows", type=int, default=12,
         help="rows per rendered table (default: %(default)s)")
     report_parser.set_defaults(handler=cmd_report)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="measure runner speedup and write BENCH_runner.json")
-    _add_generation_arguments(bench_parser)
-    bench_parser.add_argument(
-        "--worker-counts", default=f"1,{default_workers()}",
-        help="comma-separated worker counts to time (default: %(default)s)")
-    bench_parser.add_argument(
-        "--output", default="BENCH_runner.json",
-        help="artifact path (default: %(default)s)")
-    bench_parser.add_argument(
-        "--trace-sample", default="TRACE_sample.json", metavar="FILE",
-        help="write the traced sample study's Chrome trace-event JSON "
-             "here (default: %(default)s)")
-    bench_parser.set_defaults(handler=cmd_bench)
 
     export_parser = subparsers.add_parser(
         "export",

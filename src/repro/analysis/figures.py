@@ -189,11 +189,11 @@ def trace_figure_suite(trace: TraceDataset,
                        bin_width: int = 100) -> Dict[str, object]:
     """Every purely trace-driven figure computation, as raw data.
 
-    This is the vectorised analysis suite the data-plane benchmark times and
-    the golden-equivalence test compares against the row-at-a-time reference
-    implementation (:mod:`repro.workloads.rowpath`).  Unlike
-    :func:`reproduce_all` it needs no fleet and returns raw arrays/dicts
-    rather than a rendered report.
+    This is the vectorised analysis suite the golden-equivalence test
+    (``tests/test_dataplane_golden.py``) compares against the row-at-a-time
+    reference implementation kept beside it.  Unlike :func:`reproduce_all`
+    it needs no fleet and returns raw arrays/dicts rather than a rendered
+    report.
     """
     from repro.analysis.providers import access_class_profiles
     from repro.prediction.features import feature_matrix

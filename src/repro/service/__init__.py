@@ -13,8 +13,8 @@ long-lived multi-tenant server over the one shared worker pool:
   HTTP server (`python -m repro serve`): JSON submissions, NDJSON event
   streams, result fetches.
 * :mod:`repro.service.client` — :class:`StudyServiceClient`, the
-  dependency-free ``urllib`` client the CLI subcommands and the CI smoke
-  benchmark use.
+  dependency-free ``urllib`` client the CLI subcommands and the gateway
+  tests use.
 """
 
 from repro.service.client import GatewayError, StudyServiceClient

@@ -3,8 +3,8 @@
 :class:`StudyServiceClient` talks to :mod:`repro.service.gateway` over
 stdlib ``urllib`` — submit suites, follow their NDJSON event streams,
 fetch finished traces by fingerprint and comparisons by key.  The CLI's
-``submit`` / ``jobs`` / ``fetch`` subcommands and the CI smoke benchmark
-are built on it; it is also the reference consumer of the HTTP API.
+``submit`` / ``jobs`` / ``fetch`` subcommands and the gateway tests are
+built on it; it is also the reference consumer of the HTTP API.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The renderer produces text-format 0.0.4 output (``# HELP`` / ``# TYPE``
 comment lines followed by ``name{labels} value`` samples); the parser is
-the strict inverse used by the test suite and the gateway bench smoke to
+the strict inverse used by the test suite and ``repro metrics --json`` to
 *validate* what ``GET /metrics`` serves — a scrape that fails to parse is
 a bug, not a formatting nit.
 """

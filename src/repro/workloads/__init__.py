@@ -18,8 +18,6 @@ Quantum cloud.  This package synthesises an equivalent dataset:
 * :mod:`repro.workloads.generator` — the study config and the deterministic
   plan / synthesise / record stages that :func:`repro.runner.run_study`
   runs to produce the full study trace.
-* :mod:`repro.workloads.rowpath` — the row-at-a-time reference data plane
-  kept for the golden-equivalence test and the data-plane benchmark.
 """
 
 from repro.workloads.distributions import (

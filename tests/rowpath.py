@@ -6,13 +6,13 @@ per-circuit Python loop in the execution-time model, generator-expression
 aggregation when recording a trace row, and per-record loops for every
 trace-driven figure computation.
 
-They serve two purposes and are not used by the production pipeline:
+They exist only to prove equivalence, so they live with the tests rather
+than in the package:
 
-* the golden-equivalence test (``tests/test_dataplane_golden.py``) proves
-  the vectorised data plane is *value-identical* to this reference for the
-  same seed, and
-* ``benchmarks/bench_dataplane.py`` measures the columnar speedup against
-  it.
+* ``test_dataplane_golden.py`` proves the vectorised data plane is
+  *value-identical* to this reference for the same seed, and
+* ``test_generator.py`` checks every synthesis shard against the
+  per-circuit loop of :class:`RowPathSynthesizer`.
 """
 
 from __future__ import annotations

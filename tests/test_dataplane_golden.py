@@ -2,8 +2,8 @@
 
 The columnar pipeline (CircuitBatch synthesis, vectorised execution-time
 aggregation, columnar TraceDataset, npz cache) must be *value-identical* to
-the row-at-a-time reference path (`repro.workloads.rowpath`) for the same
-seed — same random draws, same floats, same records, same figure data.
+the row-at-a-time reference path (`rowpath.py` beside these tests) for the
+same seed — same random draws, same floats, same records, same figure data.
 """
 
 import numpy as np
@@ -19,12 +19,12 @@ from repro.workloads.generator import (
     plan_submissions,
     record_for,
 )
-from repro.workloads.rowpath import (
+from repro.workloads.trace import TraceDataset
+from rowpath import (
     RowPathSynthesizer,
     figure_suite_rowpath,
     record_for_rowpath,
 )
-from repro.workloads.trace import TraceDataset
 
 CONFIG = dict(total_jobs=90, months=5, seed=23)
 

@@ -18,9 +18,9 @@ from repro.workloads.generator import (
     TraceGeneratorConfig,
     plan_submissions,
 )
-from repro.workloads.rowpath import RowPathSynthesizer
 from repro.workloads.transpile_classes import ClassRankTable
 from repro.workloads.users import MachineSelectionPolicy, UserProfile
+from rowpath import RowPathSynthesizer
 
 
 def _trace(**knobs):

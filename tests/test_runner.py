@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _resolve_suite, build_parser, main
 from repro.analysis import summarize
 from repro.core.exceptions import WorkloadError
 from repro.runner import (
@@ -232,14 +232,29 @@ class TestCommandLine:
         assert payload["trace_summary"]["jobs"] == 40
         assert "fig3_queue_report" in payload
 
-    def test_bench_writes_artifact(self, tmp_path):
-        artifact = tmp_path / "BENCH_runner.json"
-        code = main([
-            "bench", "--jobs", "30", "--months", "2", "--seed", "5",
-            "--worker-counts", "1", "--output", str(artifact), "--quiet",
-        ])
-        assert code == 0
-        payload = json.loads(artifact.read_text())
-        assert payload["benchmark"] == "runner_scaling"
-        assert payload["runs"]["1"]["seconds"] > 0
-        assert payload["best_speedup"] >= 0
+    @pytest.mark.parametrize("flags,variables,knobs", [
+        pytest.param(["--jobs", "6000", "--months", "28"], {},
+                     (6000, 28, 7), id="flags-at-defaults"),
+        pytest.param(["--jobs", "6001"], {}, (6001, 2, 7), id="flag"),
+        pytest.param([], {}, (100, 2, 7), id="spec-only"),
+        pytest.param([], {"REPRO_BENCH_JOBS": "6000"}, (6000, 2, 7),
+                     id="variable-at-default"),
+    ])
+    def test_given_study_knobs_beat_the_spec(self, tmp_path, monkeypatch,
+                                             flags, variables, knobs):
+        # Given means typed or set, whatever the value: a knob repeating
+        # its default still overrides the spec's [study] table.
+        for variable in ("REPRO_BENCH_JOBS", "REPRO_BENCH_MONTHS",
+                         "REPRO_BENCH_SEED"):
+            monkeypatch.delenv(variable, raising=False)
+        for variable, value in variables.items():
+            monkeypatch.setenv(variable, value)
+        spec = tmp_path / "suite.json"
+        spec.write_text(json.dumps({
+            "study": {"total_jobs": 100, "months": 2},
+            "scenarios": [{"name": "baseline"}],
+        }))
+        args = build_parser().parse_args(
+            ["run-scenarios", "--spec", str(spec), *flags])
+        base = _resolve_suite(args)[0]
+        assert (base.total_jobs, base.months, base.seed) == knobs

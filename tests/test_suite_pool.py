@@ -51,6 +51,17 @@ def base_config():
     return TraceGeneratorConfig(**CONFIG)
 
 
+def _suite(swept):
+    """The five scenarios; ``swept`` adds a two-value backlog sweep and runs
+    every scenario as two seed replicates, 14 studies in all."""
+    scenarios = list(resolve_scenarios(SUITE_NAMES))
+    if not swept:
+        return scenarios
+    scenarios.append(sweep_from_flags(["backlog_shift.scale=1.5,2.5"]))
+    return replicate_scenarios(expand_sweeps(scenarios), 2,
+                               base_seed=CONFIG["seed"])
+
+
 @pytest.fixture(scope="module")
 def solo_traces(base_config):
     """The reference every suite run must match: one single-worker
@@ -58,7 +69,7 @@ def solo_traces(base_config):
     return {scenario.name: run_study(config=scenario.apply_to(base_config),
                                      workers=1, num_shards=1,
                                      use_cache=False).trace
-            for scenario in resolve_scenarios(SUITE_NAMES)}
+            for scenario in _suite(swept=True)}
 
 
 def _trace_bytes(tmp_path, tag, trace):
@@ -96,18 +107,23 @@ def _study(config):
 
 
 class TestSuiteDeterminism:
-    @pytest.mark.parametrize("workers,num_shards", [(1, 1), (2, 4), (2, 2)])
+    @pytest.mark.parametrize("workers,num_shards,swept", [
+        pytest.param(1, 1, False, id="1-1"),
+        pytest.param(2, 4, False, id="2-4"),
+        pytest.param(2, 2, False, id="2-2"),
+        pytest.param(2, 4, True, id="2-4-sweep-replicates"),
+    ])
     def test_suite_byte_identical_to_sequential(
             self, base_config, solo_traces, tmp_path, workers,
-            num_shards):
+            num_shards, swept):
+        scenarios = _suite(swept)
         engine = ScenarioEngine(base_config, workers=workers,
                                 num_shards=num_shards)
-        suite = engine.run(resolve_scenarios(SUITE_NAMES), use_cache=False)
-        for name in SUITE_NAMES:
-            ours = _trace_bytes(tmp_path, f"suite-{workers}-{name}",
-                                suite.run_for(name).trace)
-            reference = _trace_bytes(tmp_path, f"seq-{workers}-{name}",
-                                     solo_traces[name])
+        suite = engine.run(scenarios, use_cache=False)
+        for scenario in scenarios:
+            name = scenario.name
+            ours = _trace_bytes(tmp_path, "suite", suite.run_for(name).trace)
+            reference = _trace_bytes(tmp_path, "seq", solo_traces[name])
             assert ours == reference, name
 
     def test_run_suite_matches_solo_studies(self, base_config, tmp_path):

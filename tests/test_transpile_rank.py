@@ -46,7 +46,11 @@ from repro.workloads.circuit_metrics import (
     representative_circuit,
     structural_fingerprint,
 )
-from repro.workloads.generator import ScenarioKnobs, TraceGeneratorConfig
+from repro.workloads.generator import (
+    ScenarioKnobs,
+    TraceGeneratorConfig,
+    plan_transpile_classes,
+)
 from repro.workloads.transpile_classes import (
     ClassRankTable,
     compute_class_summary,
@@ -312,9 +316,17 @@ class TestRankStudyDeterminism:
         stats = result.transpile
         assert stats["cold"] == stats["pairs"] > 0
         # Even at this tiny scale each class serves several jobs; the
-        # >=10x study-scale dedup target lives in bench_transpile.py.
+        # >=10x dedup target holds at paper scale (the test below).
         assert stats["probes"] > stats["pairs"] >= stats["classes"]
         assert result.trace.metadata.get("seed") == 7
+
+    def test_paper_scale_plan_dedups_tenfold(self):
+        # Planning replays only the draw prefix of each submission, so the
+        # 6000-job study is checked without transpiling a class.
+        config = _rank_config(jobs=6000, months=28)
+        _, stats = plan_transpile_classes(config, config.build_fleet())
+        assert stats["jobs"] == 6000
+        assert stats["probes"] >= 10 * stats["pairs"], stats
 
     def test_warm_cache_is_byte_identical(self, reference):
         root, cold = reference
