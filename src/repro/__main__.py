@@ -29,7 +29,8 @@ sharded study runner and the analysis layer:
 * ``repro metrics`` — the process-wide metrics registry in Prometheus
   text format: scraped from a running gateway's ``/metrics``, or the
   local process's with ``--local``.
-* ``repro cache`` — inspect or LRU-prune the on-disk trace cache.
+* ``repro cache`` — inspect or LRU-prune the cache root (traces,
+  transpile summaries and comparisons under one byte budget).
 
 ``--trace-out FILE`` on any generating subcommand enables the span
 tracer and writes the run's spans as Chrome trace-event JSON
@@ -608,46 +609,32 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.runner import TraceCache
-    from repro.transpiler.cache import TranspileCache
+    from repro.core.cacheroot import CacheRoot
 
-    root = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") \
-        or ".repro-cache"
-    cache = TraceCache(root)
-    transpile_cache = TranspileCache(root)
-    entries = cache.entries()
-    transpile_entries = transpile_cache.entries()
+    root = CacheRoot(args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+                     or ".repro-cache")
     if args.prune:
-        if args.max_bytes is None:
-            print("repro cache: --prune requires --max-bytes",
+        if args.max_bytes is None or args.max_bytes < 0:
+            print("repro cache: --prune requires --max-bytes N, N >= 0",
                   file=sys.stderr)
             return 2
-        # Traces dwarf transpile summaries, so the byte budget applies to
-        # each namespace independently: pruning traces never starves the
-        # (tiny, expensive-to-refill) transpile entries, and vice versa.
-        evicted = cache.prune(args.max_bytes)
-        transpile_evicted = transpile_cache.prune(args.max_bytes)
+        # One budget over every kind: traces, transpile summaries and
+        # comparisons are evicted least recently used first.
+        evicted = root.prune(args.max_bytes)
         print(json.dumps({
-            "root": str(cache.root),
+            "root": str(root.path),
             "evicted": [entry.as_dict() for entry in evicted],
-            "remaining_bytes": cache.total_bytes(),
-            "transpile_evicted": [entry.as_dict()
-                                  for entry in transpile_evicted],
-            "transpile_remaining_bytes": transpile_cache.total_bytes(),
+            "remaining_bytes": root.total_bytes(),
         }, indent=2))
         return 0
+    entries = root.entries()
     payload: Dict[str, object] = {
-        "root": str(cache.root),
+        "root": str(root.path),
         "entries": len(entries),
         "total_bytes": sum(entry.size_bytes for entry in entries),
-        "transpile_entries": len(transpile_entries),
-        "transpile_total_bytes": sum(entry.size_bytes
-                                     for entry in transpile_entries),
     }
     if args.list_entries:
         payload["cache"] = [entry.as_dict() for entry in entries]
-        payload["transpile_cache"] = [entry.as_dict()
-                                      for entry in transpile_entries]
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -833,14 +820,14 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_parser.set_defaults(handler=cmd_metrics)
 
     cache_parser = subparsers.add_parser(
-        "cache", help="inspect or LRU-prune the on-disk trace and "
-                      "transpile caches")
+        "cache", help="inspect or LRU-prune the cache root (traces, "
+                      "transpile summaries, comparisons)")
     cache_parser.add_argument(
         "--cache-dir", default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)")
     cache_parser.add_argument(
         "--list", action="store_true", dest="list_entries",
-        help="list every entry (key, size, recency), LRU first")
+        help="list every entry (kind, key, size, recency), LRU first")
     cache_parser.add_argument(
         "--prune", action="store_true",
         help="evict least-recently-used entries down to --max-bytes")

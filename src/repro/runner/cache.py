@@ -17,6 +17,11 @@ block so neither ``put`` nor ``get`` ever materialises the whole trace.
 *Stale-content* invalidation happens through the fingerprint itself —
 entries written by incompatible versions live under different keys and
 simply miss.
+
+Trace entries share their directory with the transpile cache and the
+gateway's comparisons: :class:`~repro.core.cacheroot.CacheRoot` owns the
+atomic write, recency, listing, pruning and counts of every kind, and
+:class:`TraceCache` keeps only the trace formats and lookups.
 """
 
 from __future__ import annotations
@@ -25,16 +30,13 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import shutil
-import uuid
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
+from repro.core.cacheroot import CacheEntry, CacheRoot
 from repro.core.exceptions import TraceSchemaError
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import get_tracer
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
@@ -81,82 +83,26 @@ def config_fingerprint(config: TraceGeneratorConfig) -> str:
     return digest.hexdigest()[:24]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One on-disk cache entry: its key, location, size and recency."""
-
-    key: str
-    path: Path
-    size_bytes: int
-    modified: float  # last use (hits bump the mtime, so this is LRU order)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "path": str(self.path),
-            "size_bytes": self.size_bytes,
-            "modified": self.modified,
-        }
-
-
 class TraceCache:
-    """A directory of cached traces keyed by config fingerprint.
+    """The trace entries of a cache root, keyed by config fingerprint.
 
-    Hits and misses are counted per instance; entry recency is tracked in
-    the filesystem itself — every hit bumps the entry's mtime, so
-    :meth:`prune` can evict least-recently-*used* (not least-recently-
-    written) entries down to a byte budget, and the ordering survives
-    process restarts.
+    ``root`` is a directory or a shared
+    :class:`~repro.core.cacheroot.CacheRoot`; the root owns the atomic
+    write, the recency bump on a hit, listing, pruning and the hit/miss/
+    eviction counts, which :meth:`stats` reports for the ``trace`` kind.
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        # Per-instance counters aggregated under shared registry names:
-        # ``cache.hits`` et al. keep their historical per-instance
-        # semantics (each cache counts from zero, external ``+=`` writers
-        # included) while ``repro_cache_*_total`` sums every live cache.
-        registry = get_registry()
-        self._hits = registry.instance_counter(
-            "repro_cache_hits_total",
-            help="Trace-cache hits across every TraceCache instance.")
-        self._misses = registry.instance_counter(
-            "repro_cache_misses_total",
-            help="Trace-cache misses across every TraceCache instance.")
-        self._evictions = registry.instance_counter(
-            "repro_cache_evictions_total",
-            help="Trace-cache entries evicted by evict() or prune().")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.set_local(value)
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.set_local(value)
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.set_local(value)
+    def __init__(self, root: Union[str, Path, CacheRoot]):
+        self.cache_root = CacheRoot.of(root)
+        self.root = self.cache_root.path
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"trace-{key}.npz"
+        return self.cache_root.entry_path("trace", key, ".npz")
 
     def manifest_dir_for(self, key: str) -> Path:
         """Where a block-manifest entry for ``key`` would live (the layout
         used for traces too large for their resident-bytes budget)."""
-        return self.root / f"trace-{key}.blocks"
+        return self.cache_root.entry_path("trace", key, ".blocks")
 
     def existing_path_for(self, key: str) -> Optional[Path]:
         """The on-disk entry a hit for ``key`` would be served from, if any."""
@@ -219,10 +165,9 @@ class TraceCache:
                         f"expects {TRACE_SCHEMA_VERSION}; delete the entry "
                         f"(or point --cache-dir at a fresh directory) to "
                         f"regenerate it")
-                self.hits += 1
-                self._touch(path)
+                self.cache_root.hit("trace", path)
                 return trace
-            self.misses += 1
+            self.cache_root.miss("trace")
             return None
 
     def get_bytes(self, key: str) -> Optional[bytes]:
@@ -236,20 +181,11 @@ class TraceCache:
         """
         path = self.existing_path_for(key)
         if path is None or path.is_dir():
-            self.misses += 1
+            self.cache_root.miss("trace")
             return None
         data = path.read_bytes()
-        self.hits += 1
-        self._touch(path)
+        self.cache_root.hit("trace", path)
         return data
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Bump an entry's mtime so LRU pruning sees the hit."""
-        try:
-            os.utime(path, None)
-        except OSError:  # read-only cache dirs still serve hits
-            pass
 
     def put(self, key: str, trace: TraceDataset) -> Path:
         """Store ``trace`` under ``key`` atomically; returns the cache path.
@@ -258,129 +194,16 @@ class TraceCache:
         dump (byte-identical to every prior release); a trace whose column
         bytes exceed its resident budget is streamed block by block into a
         ``trace-<key>.blocks/`` manifest directory instead, so the put never
-        materialises it.  Either way the dump goes to a uniquely named
-        scratch location first (a uuid suffix, so concurrent writers — or a
-        recycled pid — can never collide) and is renamed into place only
-        once fully written; if the dump raises, the scratch is removed
-        instead of accumulating as litter.  The other format's entry for
-        the same key is dropped so a key never resolves ambiguously.
+        materialises it.  :meth:`CacheRoot.write` makes either atomic and
+        drops the other format's entry for the key.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        npz_path = self.path_for(key)
-        manifest_dir = self.manifest_dir_for(key)
+        if trace.is_out_of_core:
+            suffix, fill = ".blocks", trace.to_block_manifest
+        else:
+            suffix, fill = ".npz", trace.to_npz
         with get_tracer().span("cache.put", study=key,
                                out_of_core=trace.is_out_of_core):
-            return self._put(key, trace, npz_path, manifest_dir)
-
-    def _put(self, key: str, trace: TraceDataset, npz_path: Path,
-             manifest_dir: Path) -> Path:
-        if trace.is_out_of_core:
-            scratch_dir = manifest_dir.with_suffix(
-                f".tmp.{uuid.uuid4().hex}")
-            try:
-                trace.to_block_manifest(scratch_dir)
-                shutil.rmtree(manifest_dir, ignore_errors=True)
-                scratch_dir.replace(manifest_dir)
-            finally:
-                shutil.rmtree(scratch_dir, ignore_errors=True)
-            npz_path.unlink(missing_ok=True)
-            return manifest_dir
-        scratch = npz_path.with_suffix(f".tmp.{uuid.uuid4().hex}")
-        try:
-            trace.to_npz(scratch)
-            scratch.replace(npz_path)
-        finally:
-            scratch.unlink(missing_ok=True)
-        shutil.rmtree(manifest_dir, ignore_errors=True)
-        return npz_path
-
-    # -- introspection and eviction ----------------------------------------------------
-
-    def entries(self) -> List[CacheEntry]:
-        """Every on-disk entry, least recently used first."""
-        found: List[CacheEntry] = []
-        if not self.root.is_dir():
-            return found
-        for path in self.root.iterdir():
-            name = path.name
-            if not name.startswith("trace-"):
-                continue
-            if path.suffix == ".npz" and path.is_file():
-                try:
-                    stat = path.stat()
-                except OSError:  # evicted by a concurrent pruner mid-scan
-                    continue
-                size, modified = stat.st_size, stat.st_mtime
-            elif path.suffix == ".blocks" and path.is_dir():
-                try:
-                    stat = path.stat()
-                    size = sum(child.stat().st_size
-                               for child in path.iterdir()
-                               if child.is_file())
-                    modified = stat.st_mtime
-                except OSError:
-                    continue
-            else:
-                continue
-            found.append(CacheEntry(
-                key=name[len("trace-"):-len(path.suffix)],
-                path=path,
-                size_bytes=size,
-                modified=modified,
-            ))
-        found.sort(key=lambda entry: (entry.modified, entry.key))
-        return found
-
-    def total_bytes(self) -> int:
-        """Bytes currently held by every entry of the cache."""
-        return sum(entry.size_bytes for entry in self.entries())
-
-    def evict(self, key: str) -> bool:
-        """Delete the entry for ``key`` (both formats); True if one existed."""
-        evicted = False
-        try:
-            self.path_for(key).unlink()
-            evicted = True
-        except OSError:
-            pass
-        manifest_dir = self.manifest_dir_for(key)
-        if manifest_dir.is_dir():
-            shutil.rmtree(manifest_dir, ignore_errors=True)
-            evicted = True
-        if evicted:
-            self.evictions += 1
-        return evicted
-
-    def prune(self, max_bytes: int) -> List[CacheEntry]:
-        """Evict least-recently-used entries until ≤ ``max_bytes`` remain.
-
-        Returns the evicted entries (possibly empty).  ``max_bytes=0``
-        clears the cache.  Recency is entry mtime, which hits bump — so a
-        hot entry survives a prune that drops a colder, newer-written one.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        entries = self.entries()
-        total = sum(entry.size_bytes for entry in entries)
-        evicted: List[CacheEntry] = []
-        for entry in entries:
-            if total <= max_bytes:
-                break
-            try:
-                if entry.path.is_dir():
-                    shutil.rmtree(entry.path)
-                else:
-                    entry.path.unlink()
-            except FileNotFoundError:
-                total -= entry.size_bytes
-                continue
-            except OSError:
-                continue
-            total -= entry.size_bytes
-            self.evictions += 1
-            evicted.append(entry)
-        return evicted
+            return self.cache_root.write("trace", key, suffix, fill)
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+        return self.cache_root.counts("trace")

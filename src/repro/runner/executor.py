@@ -615,8 +615,8 @@ def run_suite(
     **transpile** stage first: the study's cold equivalence-class pairs
     are sharded across ``transpile_workers`` pool tasks (default: the pool
     width), warm pairs come from the
-    :class:`~repro.transpiler.cache.TranspileCache` living in the trace
-    cache's directory, and the merged
+    :class:`~repro.transpiler.cache.TranspileCache` over the trace
+    cache's own :class:`~repro.core.cacheroot.CacheRoot`, and the merged
     :class:`~repro.workloads.transpile_classes.ClassRankTable` ships with
     every synthesis shard.  Sharding and caching here are runtime knobs —
     the trace is byte-identical with any worker count, cold or warm.
@@ -651,7 +651,7 @@ def run_suite(
         transpile_shards_per_study=max(
             1, int(transpile_workers if transpile_workers is not None
                    else pool.workers)),
-        transpile_cache=(TranspileCache(cache.root)
+        transpile_cache=(TranspileCache(cache.cache_root)
                          if cache is not None else None))
     tracer = pipeline.tracer
     results: Dict[str, StudyResult] = {}

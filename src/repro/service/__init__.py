@@ -7,8 +7,9 @@ long-lived multi-tenant server over the one shared worker pool:
   done/failed/cancelled``), per-tenant quotas, FIFO fairness across
   tenants, and per-job event logs with blocking streams.
 * :mod:`repro.service.store` — :class:`ResultStore`, the content-addressed
-  result surface over the trace cache: traces by config fingerprint,
-  comparisons by suite hash, hit accounting, max-bytes LRU eviction.
+  result surface over the cache root: traces by config fingerprint,
+  comparisons by suite hash, hit accounting, and one max-bytes LRU budget
+  over every entry of the root.
 * :mod:`repro.service.gateway` — :class:`StudyService` and the stdlib
   HTTP server (`python -m repro serve`): JSON submissions, NDJSON event
   streams, result fetches.

@@ -310,12 +310,11 @@ class StudyService:
     # -- the HTTP surface --------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        from repro.transpiler.cache import TranspileCache
-
         metrics = get_registry()
         kinds = ("transpile", "synthesis", "simulation", "task")
-        transpile_cache = TranspileCache(self.store.root)
-        transpile_entries = transpile_cache.entries()
+        transpile_entries = [entry
+                             for entry in self.store.cache_root.entries()
+                             if entry.kind == "transpile"]
         return {
             "service": "repro-study-service",
             "version": __version__,
@@ -327,9 +326,8 @@ class StudyService:
                 "entries": len(transpile_entries),
                 "total_bytes": sum(entry.size_bytes
                                    for entry in transpile_entries),
-                # Process-wide counters (summed over every TranspileCache
-                # instance): the caches the runner opened did the probing,
-                # not the throwaway instance scanning the directory here.
+                # Process-wide family counters: the transpile caches the
+                # runner opened did the probing.
                 "hits": int(metrics.value(
                     "repro_transpile_cache_hits_total")),
                 "misses": int(metrics.value(

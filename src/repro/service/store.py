@@ -1,36 +1,45 @@
 """The gateway's content-addressed result store.
 
-:class:`ResultStore` layers the service-facing result surface over the
-runner's on-disk :class:`~repro.runner.cache.TraceCache`:
+:class:`ResultStore` is the service-facing result surface over one
+:class:`~repro.core.cacheroot.CacheRoot`:
 
-* **traces** are the cache's own ``.npz`` entries, addressed by config
-  fingerprint — the same key the batch CLI uses, so a trace generated by
-  ``run-scenarios`` and one generated through the gateway are literally
-  the same bytes on disk;
-* **comparisons** (the JSON delta report of a suite) are stored next to
-  them, addressed by a content hash over the suite's ordered scenario
-  ``(name, fingerprint, replicate_of)`` triples — two submissions of the
-  same suite share one comparison entry;
-* **eviction**: a configurable ``max_bytes`` budget pruned LRU across
-  traces *and* comparisons after every write (hits bump entry recency), so
-  a long-lived service cannot grow its disk footprint without bound;
-* **accounting**: served/missed counters per surface, merged with the
-  underlying cache's hit/miss/eviction counters in :meth:`stats`.
+* **traces** are the trace cache's own ``.npz`` entries, addressed by
+  config fingerprint — the same key the batch CLI uses, so a trace
+  generated by ``run-scenarios`` and one generated through the gateway are
+  literally the same bytes on disk;
+* **comparisons** (the JSON delta report of a suite) are
+  ``comparison-<key>.json`` entries of the same root, addressed by a
+  content hash over the suite's ordered scenario ``(name, fingerprint,
+  replicate_of)`` triples — two submissions of the same suite share one
+  comparison entry;
+* **eviction**: a configurable ``max_bytes`` budget over the whole root —
+  traces, transpile summaries and comparisons — pruned LRU after every
+  write (hits bump entry recency), so a long-lived service cannot grow its
+  disk footprint without bound; it is the same prune as ``repro cache
+  --prune --max-bytes N``;
+* **accounting**: served/missed trace fetches per store, and the root's
+  per-kind hit/miss/eviction counts, in :meth:`stats`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.runner.cache import CacheEntry, TraceCache
-from repro.telemetry import get_registry
+from repro.core.cacheroot import CacheEntry, CacheRoot
+from repro.runner.cache import TraceCache
+from repro.telemetry import Tally, get_registry
 
 __all__ = ["ResultStore", "comparison_key"]
+
+_TRACE_HITS = get_registry().counter(
+    "repro_store_trace_hits_total",
+    help="Trace fetches served from the result store.")
+_TRACE_MISSES = get_registry().counter(
+    "repro_store_trace_misses_total",
+    help="Trace fetches that missed the result store.")
 
 
 def comparison_key(
@@ -50,62 +59,16 @@ def comparison_key(
 class ResultStore:
     """Finished traces and comparisons, served by fingerprint."""
 
-    def __init__(self, root: Union[str, Path],
-                 max_bytes: Optional[int] = None,
-                 cache: Optional[TraceCache] = None):
-        self.root = Path(root)
-        self.cache = cache if cache is not None else TraceCache(self.root)
+    def __init__(self, root: Union[str, Path, CacheRoot],
+                 max_bytes: Optional[int] = None):
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        self.cache = TraceCache(root)
+        self.cache_root = self.cache.cache_root
+        self.root = self.cache.root
         self.max_bytes = max_bytes
-        # Per-instance counters aggregated under shared registry names
-        # (see TraceCache: attribute reads/writes keep per-store values,
-        # /metrics sums every live store).
-        registry = get_registry()
-        self._trace_hits = registry.instance_counter(
-            "repro_store_trace_hits_total",
-            help="Trace fetches served from the result store.")
-        self._trace_misses = registry.instance_counter(
-            "repro_store_trace_misses_total",
-            help="Trace fetches that missed the result store.")
-        self._comparison_hits = registry.instance_counter(
-            "repro_store_comparison_hits_total",
-            help="Comparison fetches served from the result store.")
-        self._comparison_misses = registry.instance_counter(
-            "repro_store_comparison_misses_total",
-            help="Comparison fetches that missed the result store.")
-
-    @property
-    def trace_hits(self) -> int:
-        return self._trace_hits.value
-
-    @trace_hits.setter
-    def trace_hits(self, value: int) -> None:
-        self._trace_hits.set_local(value)
-
-    @property
-    def trace_misses(self) -> int:
-        return self._trace_misses.value
-
-    @trace_misses.setter
-    def trace_misses(self, value: int) -> None:
-        self._trace_misses.set_local(value)
-
-    @property
-    def comparison_hits(self) -> int:
-        return self._comparison_hits.value
-
-    @comparison_hits.setter
-    def comparison_hits(self, value: int) -> None:
-        self._comparison_hits.set_local(value)
-
-    @property
-    def comparison_misses(self) -> int:
-        return self._comparison_misses.value
-
-    @comparison_misses.setter
-    def comparison_misses(self, value: int) -> None:
-        self._comparison_misses.set_local(value)
+        self._trace_hits = Tally(_TRACE_HITS)
+        self._trace_misses = Tally(_TRACE_MISSES)
 
     # -- traces ------------------------------------------------------------------------
 
@@ -116,10 +79,7 @@ class ResultStore:
         trace cache's ``.npz`` dump.
         """
         data = self.cache.get_bytes(fingerprint)
-        if data is None:
-            self.trace_misses += 1
-            return None
-        self.trace_hits += 1
+        (self._trace_misses if data is None else self._trace_hits).inc()
         return data
 
     def trace_path(self, fingerprint: str) -> Optional[Path]:
@@ -128,22 +88,14 @@ class ResultStore:
     # -- comparisons -------------------------------------------------------------------
 
     def comparison_path_for(self, key: str) -> Path:
-        return self.root / f"comparison-{key}.json"
+        return self.cache_root.entry_path("comparison", key, ".json")
 
     def put_comparison(self, key: str, payload: Dict[str, object]) -> Path:
-        """Store a comparison report under its content key (atomic).
-
-        The report goes to a uuid-suffixed scratch file first, so two
-        threads or processes storing the same key never share one.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.comparison_path_for(key)
-        scratch = path.with_suffix(f".tmp.{uuid.uuid4().hex}")
-        try:
-            scratch.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            scratch.replace(path)
-        finally:
-            scratch.unlink(missing_ok=True)
+        """Store a comparison report under its content key (atomic), then
+        prune the root to the store's budget."""
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        path = self.cache_root.write("comparison", key, ".json",
+                                     lambda scratch: scratch.write_text(text))
         self.prune()
         return path
 
@@ -152,79 +104,30 @@ class ResultStore:
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
-            self.comparison_misses += 1
+            self.cache_root.miss("comparison")
             return None
-        self.comparison_hits += 1
-        try:
-            os.utime(path, None)  # recency for LRU pruning
-        except OSError:
-            pass
+        self.cache_root.hit("comparison", path)
         return payload
 
     # -- eviction ----------------------------------------------------------------------
 
-    def _comparison_entries(self) -> List[CacheEntry]:
-        found: List[CacheEntry] = []
-        if not self.root.is_dir():
-            return found
-        for path in self.root.glob("comparison-*.json"):
-            if not path.is_file():
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            found.append(CacheEntry(
-                key=path.name[len("comparison-"):-len(".json")],
-                path=path, size_bytes=stat.st_size,
-                modified=stat.st_mtime))
-        return found
-
-    def entries(self) -> List[CacheEntry]:
-        """Every stored trace and comparison, least recently used first."""
-        combined = self.cache.entries() + self._comparison_entries()
-        combined.sort(key=lambda entry: (entry.modified, entry.key))
-        return combined
-
-    def total_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.entries())
-
     def prune(self, max_bytes: Optional[int] = None) -> List[CacheEntry]:
-        """Evict LRU entries (traces and comparisons) down to the budget.
-
-        Uses the store's configured ``max_bytes`` when none is given; a
-        store without a budget never evicts on its own.
-        """
+        """Prune the whole cache root, LRU first, to ``max_bytes`` (default:
+        the store's budget); a store without a budget never evicts."""
         budget = max_bytes if max_bytes is not None else self.max_bytes
-        if budget is None:
-            return []
-        entries = self.entries()
-        total = sum(entry.size_bytes for entry in entries)
-        evicted: List[CacheEntry] = []
-        for entry in entries:
-            if total <= budget:
-                break
-            try:
-                entry.path.unlink()
-            except FileNotFoundError:
-                total -= entry.size_bytes
-                continue
-            except OSError:
-                continue
-            total -= entry.size_bytes
-            self.cache.evictions += 1
-            evicted.append(entry)
-        return evicted
+        return [] if budget is None else self.cache_root.prune(budget)
 
     def stats(self) -> Dict[str, object]:
+        entries = self.cache_root.entries()
+        comparisons = self.cache_root.counts("comparison")
         return {
             "root": str(self.root),
             "max_bytes": self.max_bytes,
-            "total_bytes": self.total_bytes(),
-            "entries": len(self.entries()),
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
-            "comparison_hits": self.comparison_hits,
-            "comparison_misses": self.comparison_misses,
+            "total_bytes": sum(entry.size_bytes for entry in entries),
+            "entries": len(entries),
+            "trace_hits": self._trace_hits.value,
+            "trace_misses": self._trace_misses.value,
+            "comparison_hits": comparisons["hits"],
+            "comparison_misses": comparisons["misses"],
             "cache": self.cache.stats(),
         }

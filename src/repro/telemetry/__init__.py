@@ -9,7 +9,7 @@ One import surface for every instrumented layer::
         ...
 
 See :mod:`repro.telemetry.metrics` for the registry semantics (shared
-instruments, per-instance aliasing counters), :mod:`repro.telemetry.
+instruments, per-object tallies), :mod:`repro.telemetry.
 tracing` for the span model and Chrome trace export, and
 :mod:`repro.telemetry.exposition` for the Prometheus text surface.
 """
@@ -20,6 +20,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Tally,
     get_registry,
 )
 from repro.telemetry.exposition import (
@@ -42,6 +43,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",
+    "Tally",
     "Tracer",
     "get_registry",
     "get_tracer",

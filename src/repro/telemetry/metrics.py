@@ -13,12 +13,12 @@ Design constraints, in order:
 * **Deterministic outputs stay deterministic.**  Instruments never feed
   values back into traces, fingerprints or cache keys — they are pure
   observation.  Nothing here reads wall-clock time.
-* **Legacy attribute APIs keep working.**  ``TraceCache.hits`` and friends
-  are now properties over per-*instance* instruments that aggregate under
-  one shared metric name: each instance still counts from zero (existing
-  tests and callers see identical values, including external ``+= 1``
-  writers), while the registry-level value is the sum over every live
-  instance — which only grows, keeping the exposition monotonic.
+* **Building an object registers nothing.**  Objects made in any number
+  — cache roots, result stores, residency governors — count their events
+  in a :class:`Tally`: the object's own count, from zero, plus one add to
+  the event's shared family counter.  The registry's instrument count
+  stays flat however many objects a long-lived process builds, and the
+  family value only grows, keeping the exposition monotonic.
 * **Cheap.**  An increment is one lock acquisition and an integer add;
   histograms short-circuit to a shared no-op when the registry is
   disabled.  The true zero-cost-when-off path is the span tracer
@@ -39,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Tally",
     "get_registry",
 ]
 
@@ -76,16 +77,22 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def set_local(self, value: float) -> None:
-        """Force this instance's local count (attribute-aliasing support).
 
-        Legacy callers assign counter attributes directly (including
-        external ``store.cache.evictions += 1`` writers); the property
-        setters route those writes here.  The family-level sum moves by
-        the same delta.
-        """
-        with self._lock:
-            self._value = value
+class Tally:
+    """One object's count of an event that also advances the event's
+    shared family :class:`Counter` (see the module docstring)."""
+
+    __slots__ = ("value", "_family")
+
+    def __init__(self, family: Counter):
+        self.value = 0
+        self._family = family
+
+    def inc(self) -> None:
+        family = self._family
+        with family._lock:
+            self.value += 1
+            family._value += 1
 
 
 class Gauge:
@@ -197,10 +204,7 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` return the *shared* instrument
     for a ``(name, labels)`` pair — every caller sees one cumulative
-    value.  ``instance_counter`` instead registers a *fresh* counter that
-    aggregates into the family sum: this is the aliasing hook that lets
-    ``TraceCache``-style objects keep their per-instance attribute
-    semantics while contributing to one process-wide metric.
+    value.
     """
 
     def __init__(self, enabled: bool = True):
@@ -233,16 +237,6 @@ class MetricsRegistry:
                 return existing[0]
             instrument = Counter(name, pairs, self._lock)
             family.instruments[pairs] = [instrument]
-            return instrument
-
-    def instance_counter(self, name: str, help: str = "",  # noqa: A002
-                         **labels: object) -> Counter:
-        """A fresh counter aggregated into ``name``'s family sum."""
-        pairs = _label_pairs(labels)
-        with self._lock:
-            family = self._family(name, "counter", help)
-            instrument = Counter(name, pairs, self._lock)
-            family.instruments.setdefault(pairs, []).append(instrument)
             return instrument
 
     def gauge(self, name: str, help: str = "",  # noqa: A002

@@ -19,9 +19,10 @@ This module owns that amortisation at the transpiler layer:
   class representative plus its ESP, reduced to the plain-data
   :class:`TranspileSummary` that machine ranking consumes;
 * :class:`TranspileCache` — an on-disk store of summaries
-  (``transpile-<key>.json``) that lives alongside the trace cache in the
-  same cache root; the ``transpile-`` prefix keeps the two namespaces
-  disjoint (:meth:`TraceCache.entries` filters on ``trace-``).
+  (``transpile-<key>.json``) in the same
+  :class:`~repro.core.cacheroot.CacheRoot` as the trace cache; the root
+  lists, prunes and counts ``transpile-`` entries with every other kind,
+  under one byte budget.
 
 Determinism contract: a summary's ranking fields are pure functions of
 ``(structural class, backend fingerprint, level, seed)``.  Pass timings are
@@ -34,21 +35,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.cacheroot import CacheRoot
 from repro.devices.backend import Backend
 from repro.fidelity.estimator import estimate_success_probability
-from repro.telemetry import get_registry
 from repro.transpiler.presets import transpile
 
 __all__ = [
     "TranspileCache",
-    "TranspileCacheEntry",
     "TranspileSummary",
     "backend_fingerprint",
     "summarise_transpile",
@@ -223,62 +221,21 @@ def transpile_cache_key(class_fp: str, backend_fp: str, level: int,
     return digest.hexdigest()[:24]
 
 
-@dataclass(frozen=True)
-class TranspileCacheEntry:
-    """One on-disk transpile-cache entry."""
-
-    key: str
-    path: Path
-    size_bytes: int
-    modified: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "path": str(self.path),
-            "size_bytes": self.size_bytes,
-            "modified": self.modified,
-        }
-
-
 class TranspileCache:
-    """A directory of cached transpile summaries, one JSON file per key.
+    """The transpile summaries of a cache root, one JSON file per key.
 
-    Shares its root with :class:`~repro.runner.cache.TraceCache` (the
-    ``transpile-`` filename prefix keeps the namespaces disjoint).  Hits
-    bump the entry mtime so :meth:`prune` evicts least-recently-*used*
-    entries, mirroring the trace cache's LRU discipline.
+    ``root`` is a directory or a shared
+    :class:`~repro.core.cacheroot.CacheRoot` — the trace cache's, in the
+    runner — which owns the atomic write, recency, listing, pruning and
+    the counts that :meth:`stats` reports for the ``transpile`` kind.
     """
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        registry = get_registry()
-        self._hits = registry.instance_counter(
-            "repro_transpile_cache_hits_total",
-            help="Transpile-cache hits across every TranspileCache "
-                 "instance.")
-        self._misses = registry.instance_counter(
-            "repro_transpile_cache_misses_total",
-            help="Transpile-cache misses across every TranspileCache "
-                 "instance.")
-        self._evictions = registry.instance_counter(
-            "repro_transpile_cache_evictions_total",
-            help="Transpile-cache entries evicted by evict() or prune().")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
+    def __init__(self, root: Union[str, Path, CacheRoot]):
+        self.cache_root = CacheRoot.of(root)
+        self.root = self.cache_root.path
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"transpile-{key}.json"
+        return self.cache_root.entry_path("transpile", key, ".json")
 
     def get(self, key: str) -> Optional[TranspileSummary]:
         """The cached summary for ``key``, or None on a miss.
@@ -288,85 +245,18 @@ class TranspileCache:
         """
         path = self.path_for(key)
         try:
-            payload = json.loads(path.read_text())
-            summary = TranspileSummary.from_dict(payload)
+            summary = TranspileSummary.from_dict(json.loads(path.read_text()))
         except (OSError, ValueError, TypeError, KeyError):
-            self._misses.inc()
+            self.cache_root.miss("transpile")
             return None
-        self._hits.inc()
-        try:
-            os.utime(path, None)
-        except OSError:  # read-only cache dirs still serve hits
-            pass
+        self.cache_root.hit("transpile", path)
         return summary
 
     def put(self, key: str, summary: TranspileSummary) -> Path:
         """Store ``summary`` under ``key`` atomically."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        scratch = path.with_suffix(f".tmp.{uuid.uuid4().hex}")
-        try:
-            scratch.write_text(json.dumps(summary.as_dict(), sort_keys=True))
-            scratch.replace(path)
-        finally:
-            scratch.unlink(missing_ok=True)
-        return path
-
-    def entries(self) -> List[TranspileCacheEntry]:
-        """Every on-disk entry, least recently used first."""
-        found: List[TranspileCacheEntry] = []
-        if not self.root.is_dir():
-            return found
-        for path in self.root.iterdir():
-            if not (path.name.startswith("transpile-")
-                    and path.suffix == ".json" and path.is_file()):
-                continue
-            try:
-                stat = path.stat()
-            except OSError:  # evicted by a concurrent pruner mid-scan
-                continue
-            found.append(TranspileCacheEntry(
-                key=path.name[len("transpile-"):-len(".json")],
-                path=path,
-                size_bytes=stat.st_size,
-                modified=stat.st_mtime,
-            ))
-        found.sort(key=lambda entry: (entry.modified, entry.key))
-        return found
-
-    def total_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.entries())
-
-    def evict(self, key: str) -> bool:
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            return False
-        self._evictions.inc()
-        return True
-
-    def prune(self, max_bytes: int) -> List[TranspileCacheEntry]:
-        """Evict LRU entries until at most ``max_bytes`` remain."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        entries = self.entries()
-        total = sum(entry.size_bytes for entry in entries)
-        evicted: List[TranspileCacheEntry] = []
-        for entry in entries:
-            if total <= max_bytes:
-                break
-            try:
-                entry.path.unlink()
-            except FileNotFoundError:
-                total -= entry.size_bytes
-                continue
-            except OSError:
-                continue
-            total -= entry.size_bytes
-            self._evictions.inc()
-            evicted.append(entry)
-        return evicted
+        text = json.dumps(summary.as_dict(), sort_keys=True)
+        return self.cache_root.write("transpile", key, ".json",
+                                     lambda scratch: scratch.write_text(text))
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+        return self.cache_root.counts("transpile")

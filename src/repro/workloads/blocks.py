@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 import threading
+import weakref
 import zipfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -34,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.exceptions import TraceSchemaError, WorkloadError
-from repro.telemetry import get_registry, get_tracer
+from repro.telemetry import Tally, get_registry, get_tracer
 
 __all__ = [
     "BLOCK_SCHEMA_VERSION",
@@ -55,21 +56,31 @@ __all__ = [
 #: manifest blocks); bump on incompatible changes.
 BLOCK_SCHEMA_VERSION = 1
 
-# Pre-register the residency families so ``/metrics`` exposes them (at
-# zero) even in processes that never build an out-of-core dataset; live
-# governors contribute per-instance counters under the same names.
-for _residency_name, _residency_help in (
-    ("repro_residency_spills_total",
-     "Blocks spilled (written to a new block file)."),
-    ("repro_residency_loads_total",
-     "Blocks re-read from their backing block file."),
-    ("repro_residency_evictions_total",
-     "Blocks released from memory (spilled or dropped)."),
-):
-    get_registry().counter(_residency_name, help=_residency_help)
-del _residency_name, _residency_help
-get_registry().gauge(
-    "repro_residency_resident_bytes",
+#: The residency event families: each governor tallies its own events
+#: into these, so ``/metrics`` exposes them (at zero) even in processes
+#: that never build an out-of-core dataset.
+_RESIDENCY_FAMILIES = {
+    event: get_registry().counter(f"repro_residency_{event}_total",
+                                  help=help_text)
+    for event, help_text in (
+        ("spills", "Blocks spilled (written to a new block file)."),
+        ("loads", "Blocks re-read from their backing block file."),
+        ("evictions", "Blocks released from memory (spilled or dropped)."),
+    )
+}
+#: Every live governor, read by the one resident-bytes gauge.
+_LIVE_GOVERNORS: "weakref.WeakSet[ResidencyGovernor]" = weakref.WeakSet()
+_LIVE_LOCK = threading.Lock()
+
+
+def _live_resident_bytes(governors: "weakref.WeakSet") -> int:
+    with _LIVE_LOCK:
+        live = list(governors)
+    return sum(governor.resident_bytes for governor in live)
+
+
+get_registry().callback_gauge(
+    "repro_residency_resident_bytes", _LIVE_GOVERNORS, _live_resident_bytes,
     help="Bytes held by resident blocks across live governors.")
 
 #: Default rows per block when chunking a trace.  Small enough that one
@@ -222,54 +233,17 @@ class ResidencyGovernor:
         if budget is not None and budget < 0:
             raise WorkloadError(f"budget must be >= 0, got {budget}")
         self.budget = budget
-        # Per-instance counters aggregated under shared registry names —
-        # the ``spills`` / ``loads`` / ``evictions`` attributes (and their
-        # external ``+=`` writers) keep per-governor semantics while
-        # ``repro_residency_*_total`` sums every live governor.
-        registry = get_registry()
-        self._spills = registry.instance_counter(
-            "repro_residency_spills_total",
-            help="Blocks spilled (written to a new block file).")
-        self._loads = registry.instance_counter(
-            "repro_residency_loads_total",
-            help="Blocks re-read from their backing block file.")
-        self._evictions = registry.instance_counter(
-            "repro_residency_evictions_total",
-            help="Blocks released from memory (spilled or dropped).")
-        registry.callback_gauge(
-            "repro_residency_resident_bytes", self,
-            lambda governor: governor.resident_bytes,
-            help="Bytes held by resident blocks across live governors.")
+        self.spills = Tally(_RESIDENCY_FAMILIES["spills"])
+        self.loads = Tally(_RESIDENCY_FAMILIES["loads"])
+        self.evictions = Tally(_RESIDENCY_FAMILIES["evictions"])
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         #: insertion-ordered resident set; dict preserves LRU order
         self._resident: Dict["ColumnBlock", None] = {}
         self._lock = threading.RLock()
         self._spill_seq = 0
-
-    @property
-    def spills(self) -> int:
-        return self._spills.value
-
-    @spills.setter
-    def spills(self, value: int) -> None:
-        self._spills.set_local(value)
-
-    @property
-    def loads(self) -> int:
-        return self._loads.value
-
-    @loads.setter
-    def loads(self, value: int) -> None:
-        self._loads.set_local(value)
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.set_local(value)
+        with _LIVE_LOCK:
+            _LIVE_GOVERNORS.add(self)
 
     @property
     def resident_bytes(self) -> int:
@@ -330,9 +304,9 @@ class ResidencyGovernor:
                 "budget_bytes": self.budget,
                 "resident_bytes": self.resident_bytes,
                 "resident_blocks": len(self._resident),
-                "spills": self.spills,
-                "loads": self.loads,
-                "evictions": self.evictions,
+                "spills": self.spills.value,
+                "loads": self.loads.value,
+                "evictions": self.evictions.value,
             }
 
 
@@ -389,7 +363,7 @@ class ColumnBlock:
             self._arrays = loaded
             if self.nbytes == 0:
                 self.nbytes = sum(a.nbytes for a in loaded.values())
-            governor.loads += 1
+            governor.loads.inc()
             governor.admit(self)
             governor.enforce(keep=self)
             return loaded
@@ -424,9 +398,9 @@ class ColumnBlock:
             with get_tracer().span("blocks.spill", rows=self.rows,
                                    nbytes=self.nbytes):
                 write_block_file(self.path, self._arrays, self.rows)
-            self.governor.spills += 1
+            self.governor.spills.inc()
         self._arrays = None
-        self.governor.evictions += 1
+        self.governor.evictions.inc()
         self.governor.discard(self)
 
 

@@ -153,8 +153,8 @@ def figure_suite_rowpath(records: Sequence[JobRecord],
                          bin_width: int = 100) -> Dict[str, object]:
     """Every trace-driven figure computation as pre-columnar record loops.
 
-    Mirrors :func:`repro.analysis.figures.trace_figure_suite` value for
-    value (except that it walks materialised :class:`JobRecord` rows the
+    Mirrors ``figure_suite.trace_figure_suite`` (beside this module) value
+    for value (except that it walks materialised :class:`JobRecord` rows the
     way the analysis layer used to).
     """
     records = list(records)

@@ -1,10 +1,11 @@
 """Tests for trace-cache accounting, LRU eviction, and the result store.
 
 Covers :class:`~repro.runner.cache.TraceCache`'s hit/miss/eviction
-counters, entry enumeration, max-bytes LRU pruning (recency = file mtime,
-bumped on every hit), the :class:`~repro.service.store.ResultStore`
-layered on top (comparisons share the byte budget with traces), and the
-``python -m repro cache`` subcommand.
+counters, the cache root's entry listing and max-bytes LRU pruning
+(recency = file mtime, bumped on every hit), the
+:class:`~repro.service.store.ResultStore` layered on top (comparisons
+share the byte budget with traces), and the ``python -m repro cache``
+subcommand.
 """
 
 import json
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.__main__ import main
+from repro.core.cacheroot import CacheRoot
 from repro.runner import TraceCache, config_fingerprint, run_study
 from repro.service import ResultStore
 from repro.workloads.generator import TraceGeneratorConfig
@@ -41,19 +43,19 @@ def filled_cache_dir(tmp_path_factory):
 
 class TestTraceCacheEviction:
     def test_entries_are_lru_ordered(self, filled_cache_dir):
-        cache = TraceCache(filled_cache_dir)
-        entries = cache.entries()
+        root = CacheRoot(filled_cache_dir)
+        entries = root.entries()
         assert len(entries) == 3
         assert [e.key for e in entries] == \
             [config_fingerprint(c) for c in CONFIGS]
-        assert all(e.size_bytes > 0 for e in entries)
-        assert cache.total_bytes() == sum(e.size_bytes for e in entries)
+        assert all(e.kind == "trace" and e.size_bytes > 0 for e in entries)
+        assert root.total_bytes() == sum(e.size_bytes for e in entries)
 
     def test_hits_bump_recency(self, filled_cache_dir):
         cache = TraceCache(filled_cache_dir)
         oldest = config_fingerprint(CONFIGS[0])
         assert cache.get(oldest) is not None
-        assert cache.entries()[-1].key == oldest  # now most recent
+        assert cache.cache_root.entries()[-1].key == oldest  # most recent
         # restore the stamped order for the other tests
         path = cache.existing_path_for(oldest)
         os.utime(path, (1_000_000, 1_000_000))
@@ -66,17 +68,18 @@ class TestTraceCacheEviction:
             path = source.existing_path_for(config_fingerprint(config))
             os.utime(path, (1_000_000 + index, 1_000_000 + index))
         cache = TraceCache(tmp_path)
-        entries = cache.entries()
+        root = cache.cache_root
+        entries = root.entries()
         keep = entries[-1]  # most recently used survives
-        evicted = cache.prune(keep.size_bytes)
+        evicted = root.prune(keep.size_bytes)
         assert [e.key for e in evicted] == [e.key for e in entries[:2]]
-        assert [e.key for e in cache.entries()] == [keep.key]
-        assert cache.evictions == 2
-        assert cache.get(entries[0].key) is None  # evicted → miss
+        assert [e.key for e in root.entries()] == [keep.key]
         assert cache.stats()["evictions"] == 2
-        assert cache.prune(keep.size_bytes) == []  # already under budget
+        assert cache.get(entries[0].key) is None  # evicted → miss
+        assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 2}
+        assert root.prune(keep.size_bytes) == []  # already under budget
         with pytest.raises(ValueError):
-            cache.prune(-1)
+            root.prune(-1)
 
     def test_hit_miss_counters(self, filled_cache_dir):
         cache = TraceCache(filled_cache_dir)
@@ -88,15 +91,6 @@ class TestTraceCacheEviction:
         stats = cache.stats()
         assert stats["hits"] == 2
         assert stats["misses"] == 2
-
-    def test_evict_single_key(self, tmp_path):
-        run_study(config=CONFIGS[0], workers=1, num_shards=1,
-                  cache_dir=tmp_path)
-        cache = TraceCache(tmp_path)
-        key = config_fingerprint(CONFIGS[0])
-        assert cache.evict(key)
-        assert not cache.evict(key)  # already gone
-        assert cache.entries() == []
 
 
 class TestResultStore:
@@ -134,7 +128,7 @@ class TestResultStore:
         store = ResultStore(tmp_path, max_bytes=0)
         store.put_comparison("k1", {"comparison_key": "k1"})
         # put_comparison prunes to the zero budget: nothing survives.
-        assert store.entries() == []
+        assert store.cache_root.entries() == []
 
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError):

@@ -229,16 +229,15 @@ class TestCacheManifests:
         key = "d" * 24
         chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
         cache.put(key, chunked)
-        entries = cache.entries()
+        root = cache.cache_root
+        entries = root.entries()
         assert [entry.key for entry in entries] == [key]
+        assert entries[0].path == cache.manifest_dir_for(key)
         assert entries[0].size_bytes > 0
-        assert cache.evict(key) is True
-        assert not cache.manifest_dir_for(key).exists()
-
-        cache.put(key, chunked)
-        evicted = cache.prune(0)
+        evicted = root.prune(0)
         assert [entry.key for entry in evicted] == [key]
-        assert cache.entries() == []
+        assert not cache.manifest_dir_for(key).exists()
+        assert root.entries() == []
 
     def test_manifest_schema_mismatch_raises(self, tmp_path, plain_trace):
         chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)

@@ -9,7 +9,6 @@ same seed — same random draws, same floats, same records, same figure data.
 import numpy as np
 import pytest
 
-from repro.analysis.figures import trace_figure_suite
 from repro.cloud.job import CircuitBatch
 from repro.cloud.service import QuantumCloudService
 from repro.runner.cache import TraceCache, config_fingerprint
@@ -20,6 +19,7 @@ from repro.workloads.generator import (
     record_for,
 )
 from repro.workloads.trace import TraceDataset
+from figure_suite import trace_figure_suite
 from rowpath import (
     RowPathSynthesizer,
     figure_suite_rowpath,
@@ -178,7 +178,7 @@ class TestDatasetAndCacheEquivalence:
         trace.to_json(legacy.root / f"trace-{key}.json")
         assert legacy.get(key) is None
         assert legacy.get_bytes(key) is None
-        assert legacy.entries() == []
+        assert legacy.cache_root.entries() == []
 
     def test_trace_cache_treats_corrupt_entries_as_misses(self, config,
                                                           tmp_path):

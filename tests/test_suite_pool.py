@@ -345,7 +345,7 @@ class TestFailurePaths:
             raise OSError("disk full")
 
         monkeypatch.setattr(TraceDataset, "to_npz", explode)
-        with pytest.raises(OSError):
+        with pytest.raises(WorkloadError, match="trace-deadbeef.npz"):
             cache.put("deadbeef", trace)
         leftovers = list((tmp_path / "cache").iterdir())
         assert leftovers == []

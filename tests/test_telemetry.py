@@ -9,7 +9,9 @@ Covers the four contracts the instrumentation must keep:
 * the Prometheus exposition renders valid text whose counters never
   decrease across scrapes, and the parser rejects malformed input;
 * span trees merged back from pool workers nest correctly (spans sharing
-  a thread either nest or are disjoint; worker-side spans are present).
+  a thread either nest or are disjoint; worker-side spans are present);
+* building a cache, result store or residency governor registers no
+  instrument, so a long-lived process's registry stays flat.
 """
 
 import json
@@ -27,6 +29,7 @@ from repro.runner import (
 from repro.telemetry import (
     MetricsRegistry,
     NULL_SPAN,
+    Tally,
     Tracer,
     get_registry,
     get_tracer,
@@ -134,23 +137,35 @@ class TestRegistry:
         assert registry.value("t_total", kind="x") == 2
         assert registry.value("t_total", kind="y") == 5
 
-    def test_instance_counters_aggregate_into_family_sum(self):
+    def test_tallies_count_per_object_into_one_family(self):
         registry = MetricsRegistry()
-        first = registry.instance_counter("hits_total")
-        second = registry.instance_counter("hits_total")
-        first.inc(3)
-        second.inc(4)
-        assert first.value == 3  # per-instance semantics survive
-        assert second.value == 4
-        assert registry.value("hits_total") == 7
+        family = registry.counter("hits_total")
+        first, second = Tally(family), Tally(family)
+        for _ in range(3):
+            first.inc()
+        second.inc()
+        assert (first.value, second.value) == (3, 1)
+        assert registry.value("hits_total") == 4
 
-    def test_set_local_moves_family_sum_by_delta(self):
+    def test_tally_loses_no_update_across_threads(self):
+        import sys
+
         registry = MetricsRegistry()
-        counter = registry.instance_counter("evictions_total")
-        counter.inc()
-        counter.set_local(counter.value + 1)  # external `+= 1` writer
-        assert counter.value == 2
-        assert registry.value("evictions_total") == 2
+        tally = Tally(registry.counter("hits_total"))
+        threads = [threading.Thread(
+            target=lambda: [tally.inc() for _ in range(2000)], daemon=True)
+            for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave increments between bytecodes
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tally.value == registry.value("hits_total") == 16000
 
     def test_callback_gauge_drops_out_when_owner_dies(self):
         registry = MetricsRegistry()
@@ -185,6 +200,64 @@ class TestRegistry:
         run_study(config=config, workers=1, use_cache=False)
         after = registry.value("repro_sim_jobs_total", engine="batched")
         assert after >= before + 100  # ~120 planned jobs, some dropped
+
+
+def _instruments(prefix=""):
+    """How many instruments the process registry holds under ``prefix``."""
+    families = get_registry()._families
+    return sum(len(instruments)
+               for name, family in families.items() if name.startswith(prefix)
+               for instruments in family.instruments.values())
+
+
+class TestRegistryStaysFlat:
+    """The registry keeps every instrument it ever registered, so objects
+    built per call must register none."""
+
+    @staticmethod
+    def _counts_after(call, times, prefix=""):
+        counts = []
+        for index in range(times):
+            call()
+            if index in (1, times - 1):
+                counts.append(_instruments(prefix))
+        return counts
+
+    def test_gateway_stats(self, tmp_path):
+        from repro.service import StudyService
+
+        service = StudyService(workers=1, cache_dir=tmp_path)
+        first, last = self._counts_after(service.stats, 1000)
+        assert last == first
+
+    def test_cache_hit_studies(self, tmp_path):
+        config = TraceGeneratorConfig(total_jobs=40, months=2, seed=5)
+        run_study(config=config, workers=1, cache_dir=tmp_path)
+
+        def hit():
+            assert run_study(config=config, workers=1,
+                             cache_dir=tmp_path).cache_hit
+
+        first, last = self._counts_after(hit, 50)
+        assert last == first
+
+    def test_residency_governors(self, tmp_path):
+        from repro.workloads.blocks import ResidencyGovernor
+        from repro.workloads.trace import TraceDataset
+
+        trace = run_study(config=TraceGeneratorConfig(total_jobs=40,
+                                                      months=2, seed=5),
+                          workers=1, use_cache=False).trace
+        records = list(trace.records)
+
+        def chunked():
+            dataset = TraceDataset.from_records(records)
+            dataset._chunk_in_place(block_rows=8,
+                                    governor=ResidencyGovernor(4096))
+            assert dataset.data_plane_stats()["spills"] > 0
+
+        first, last = self._counts_after(chunked, 100, "repro_residency")
+        assert last == first
 
 
 # -- exposition ----------------------------------------------------------------------

@@ -149,9 +149,11 @@ class TestTranspileCache:
         # making the first entry the most recently used.
         for age, key in enumerate(keys):
             os.utime(cache.path_for(key), (1000.0 - age, 1000.0 - age))
-        evicted = cache.prune(cache.entries()[-1].size_bytes * 2)
+        root = cache.cache_root
+        evicted = root.prune(root.entries()[-1].size_bytes * 2)
         assert evicted
-        survivors = {entry.key for entry in cache.entries()}
+        assert cache.stats()["evictions"] == len(evicted)
+        survivors = {entry.key for entry in root.entries()}
         assert keys[0] in survivors
 
     def test_cache_key_separates_levels(self):
