@@ -30,7 +30,7 @@ def main() -> None:
     total_jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 1500
     print(f"generating a synthetic study trace with {total_jobs} jobs ...")
     config = TraceGeneratorConfig(total_jobs=total_jobs, seed=7)
-    trace = run_study(config=config, workers=1, use_cache=False).trace
+    trace = run_study(config=config, workers=1).trace
     summary = trace.summary()
     print(f"trace: {summary['jobs']} jobs, {summary['circuits']} circuits, "
           f"{summary['trials']:.3g} machine trials on {summary['machines']} machines\n")

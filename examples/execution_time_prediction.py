@@ -23,7 +23,7 @@ def main() -> None:
     total_jobs = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     print(f"generating a synthetic study trace with {total_jobs} jobs ...")
     config = TraceGeneratorConfig(total_jobs=total_jobs, seed=13)
-    trace = run_study(config=config, workers=1, use_cache=False).trace
+    trace = run_study(config=config, workers=1).trace
 
     # --- Fig. 15: per-machine correlations with cumulative feature sets ----------
     study = RuntimePredictionStudy(min_jobs_per_machine=50)

@@ -64,7 +64,7 @@ def main() -> None:
         print(f"  queue:run ratio = {job.queue_seconds / job.run_seconds:.1f}x")
 
     # --- 5. a miniature study through the parallel sharded runner ----------------
-    result = run_study(total_jobs=120, months=3, seed=7, use_cache=False)
+    result = run_study(total_jobs=120, months=3, seed=7)
     summary = result.trace.summary()
     print(f"\nmini study via the sharded runner ({result.workers} workers, "
           f"{result.total_seconds:.1f}s): {summary['jobs']} jobs, "

@@ -29,10 +29,10 @@ from repro.core.env import env_int
 from repro.scenarios import (
     BacklogShift,
     Scenario,
-    ScenarioEngine,
     SweepValues,
     replicate_scenarios,
     resolve_scenarios,
+    run_scenarios,
 )
 from repro.workloads.generator import TraceGeneratorConfig
 
@@ -64,12 +64,11 @@ def main() -> None:
     scenarios = replicate_scenarios(scenarios, replicates,
                                     base_seed=config.seed)
 
-    engine = ScenarioEngine(
-        config,
-        cache=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
+    suite = run_scenarios(
+        scenarios, config,
+        cache_dir=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
         on_event=print_milestone,
     )
-    suite = engine.run(scenarios)
 
     print()
     for run in suite:

@@ -54,13 +54,11 @@ from repro.core.env import env_int
 from repro.core.exceptions import ReproError
 from repro.runner import StudyResult, run_study
 from repro.scenarios import (
-    ScenarioEngine,
     builtin_scenarios,
-    expand_sweeps,
     load_suite,
-    replicate_scenarios,
-    resolve_scenarios,
-    sweep_from_flags,
+    read_spec_payload,
+    resolve_submission,
+    run_scenarios,
 )
 from repro.telemetry import get_registry, get_tracer, render_prometheus
 from repro.workloads.blocks import set_memory_budget
@@ -119,13 +117,10 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: one per core, capped at 16)")
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="synthesis shards (default: equal to --workers; the result "
-             "never depends on this, only the load balance does)")
-    parser.add_argument(
-        "--transpile-workers", type=int, default=None,
-        help="transpile shards for rank-mode policy scenarios (default: "
-             "equal to --workers; like --shards, a load-balance knob the "
-             "result never depends on)")
+        help="shards per study of the synthesis stage and, for rank-mode "
+             "policy scenarios, of the transpile stage (default: equal to "
+             "--workers; the result never depends on this, only the load "
+             "balance does)")
     parser.add_argument(
         "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
         help="directory of the on-disk trace cache (default: "
@@ -211,8 +206,6 @@ def _generate(args: argparse.Namespace) -> StudyResult:
         num_shards=args.shards,
         cache_dir=None if args.no_cache else args.cache_dir,
         on_event=_event_printer(args),
-        use_cache=not args.no_cache,
-        transpile_workers=getattr(args, "transpile_workers", None),
     )
     if getattr(args, "profile_phases", False):
         _print_phase_report("study", result.timings)
@@ -344,37 +337,39 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
              "wall-clock ETA) while the suite runs")
 
 
+def _suite_payload(args: argparse.Namespace) -> Dict[str, object]:
+    """The suite request the scenario flags spell, in the gateway's
+    submission format: ``repro submit`` sends it, and the local scenario
+    subcommands resolve it with the same :func:`resolve_submission`."""
+    payload: Dict[str, object] = {}
+    if args.spec:
+        payload["suite"] = read_spec_payload(args.spec)
+    if args.scenarios:
+        payload["scenarios"] = [name.strip()
+                                for name in args.scenarios.split(",")
+                                if name.strip()]
+    if args.sweep:
+        payload["sweep"] = list(args.sweep)
+    if args.replicates != 1:
+        payload["replicates"] = args.replicates
+    overrides = _study_overrides(args)
+    if overrides:
+        payload["study"] = overrides
+    return payload
+
+
 def _resolve_suite(args: argparse.Namespace):
-    """(base config, scenarios, catalog) for the scenario subcommands.
+    """(base config, scenarios) for the scenario subcommands.
 
     A spec file's ``[study]`` table sets the baseline, but knobs given on
     the command line or through the ``REPRO_BENCH_*`` environment win over
     it.
     """
-    knobs = {field: getattr(args, dest)
-             for dest, (field, _) in _STUDY_KNOBS.items()}
-    if args.spec:
-        spec = load_suite(args.spec)
-        catalog = spec.catalog()
-        knobs.update(spec.study_overrides)
-        knobs.update(_study_overrides(args))
-    else:
-        catalog = builtin_scenarios()
-    base = TraceGeneratorConfig(**knobs)
-    names = None
-    if args.scenarios:
-        names = tuple(name.strip() for name in args.scenarios.split(",")
-                      if name.strip())
-    scenarios = list(resolve_scenarios(names, catalog))
-    if getattr(args, "sweep", None):
-        scenarios.append(sweep_from_flags(args.sweep))
-    scenarios = expand_sweeps(scenarios)
-    replicates = int(getattr(args, "replicates", 1))
-    if replicates != 1:
-        # Delegate validation too: replicate_scenarios rejects counts < 1.
-        scenarios = replicate_scenarios(scenarios, replicates,
-                                        base_seed=base.seed)
-    return base, tuple(scenarios), catalog
+    default = TraceGeneratorConfig(
+        total_jobs=args.jobs, months=args.months, seed=args.seed)
+    return resolve_submission(
+        _suite_payload(args), default,
+        source=Path(args.spec) if args.spec else None)
 
 
 def _scenario_cache_dir(args: argparse.Namespace) -> Optional[str]:
@@ -384,23 +379,23 @@ def _scenario_cache_dir(args: argparse.Namespace) -> Optional[str]:
     return args.cache_dir or ".repro-cache"
 
 
-def _list_scenarios(catalog) -> int:
+def _list_scenarios(args: argparse.Namespace) -> int:
+    catalog = (load_suite(args.spec).catalog() if args.spec
+               else builtin_scenarios())
     for name in sorted(catalog):
         print(f"{name}: {catalog[name].describe()}")
     return 0
 
 
 def _run_suite(args: argparse.Namespace):
-    base, scenarios, _ = _resolve_suite(args)
-    scenario_engine = ScenarioEngine(
-        base,
+    base, scenarios = _resolve_suite(args)
+    suite = run_scenarios(
+        scenarios, base,
         workers=args.workers,
         num_shards=args.shards,
-        cache=_scenario_cache_dir(args),
+        cache_dir=_scenario_cache_dir(args),
         on_event=_event_printer(args),
-        transpile_workers=getattr(args, "transpile_workers", None),
     )
-    suite = scenario_engine.run(scenarios, use_cache=not args.no_cache)
     if getattr(args, "profile_phases", False):
         for run in suite:
             _print_phase_report(run.name, run.result.timings)
@@ -409,7 +404,7 @@ def _run_suite(args: argparse.Namespace):
 
 def cmd_run_scenarios(args: argparse.Namespace) -> int:
     if args.list_scenarios:
-        return _list_scenarios(_resolve_suite(args)[2])
+        return _list_scenarios(args)
     suite = _run_suite(args)
     print(json.dumps(suite.summary(), indent=2))
     if args.output_dir:
@@ -424,7 +419,7 @@ def cmd_run_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_compare_scenarios(args: argparse.Namespace) -> int:
     if args.list_scenarios:
-        return _list_scenarios(_resolve_suite(args)[2])
+        return _list_scenarios(args)
     suite = _run_suite(args)
     analysis_started = time.perf_counter()
     report = compare_suite(suite)
@@ -505,27 +500,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.scenarios import read_spec_payload
     from repro.service import StudyServiceClient
 
-    payload: Dict[str, object] = {}
-    if args.spec:
-        payload["suite"] = read_spec_payload(args.spec)
-    if args.scenarios:
-        payload["scenarios"] = [name.strip()
-                                for name in args.scenarios.split(",")
-                                if name.strip()]
-    if args.sweep:
-        payload["sweep"] = list(args.sweep)
-    if args.replicates != 1:
-        payload["replicates"] = args.replicates
+    payload = _suite_payload(args)
     if args.no_compare:
         payload["compare"] = False
     if args.no_cache:
         payload["use_cache"] = False
-    overrides = _study_overrides(args)
-    if overrides:
-        payload["study"] = overrides
 
     client = StudyServiceClient(_service_url(args), tenant=args.tenant)
     snapshot = client.submit(payload)

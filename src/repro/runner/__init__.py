@@ -8,11 +8,10 @@ an embarrassingly parallel workload:
 * :mod:`repro.runner.pool` — :class:`SharedWorkerPool`, the persistent
   pool/session object every study schedules onto, with per-study worker
   state keyed by config fingerprint.
-* :mod:`repro.runner.executor` — :class:`StudyRunner`, which executes both
-  stages on a (shared or transient) pool and merges the result with stable
-  ordering; :func:`run_study` is the one-call entry point and
-  :func:`run_suite` schedules many distinct studies as one interleaved
-  queue over a single pool.
+* :mod:`repro.runner.executor` — :func:`run_suite`, which schedules many
+  distinct studies as one interleaved queue over a single pool and merges
+  each with stable ordering; :func:`run_study` runs one config through it
+  on a shared or transient pool.
 * :mod:`repro.runner.cache` — the on-disk :class:`TraceCache` keyed by a
   content fingerprint of the generator config.
 
@@ -26,7 +25,6 @@ from repro.runner.cache import CacheEntry, TraceCache, config_fingerprint
 from repro.runner.executor import (
     EventCallback,
     StudyResult,
-    StudyRunner,
     SuiteCancelled,
     SuiteEvent,
     default_workers,
@@ -48,7 +46,6 @@ __all__ = [
     "ShardSpec",
     "SharedWorkerPool",
     "StudyResult",
-    "StudyRunner",
     "SuiteCancelled",
     "SuiteEvent",
     "TraceCache",

@@ -114,7 +114,7 @@ class TraceCache:
             return manifest_dir
         return None
 
-    def get(self, key: str, lazy: bool = False) -> Optional[TraceDataset]:
+    def get(self, key: str) -> Optional[TraceDataset]:
         """The cached trace for ``key``, or None on a miss.
 
         The ``.npz`` column dump is tried first, then a block manifest.  A
@@ -128,15 +128,15 @@ class TraceCache:
         is a configuration problem to surface, not one to silently re-pay
         minutes of regeneration for on every run.
 
-        ``lazy=True`` defers per-column decompression of ``.npz`` entries to
-        first access (see :meth:`TraceDataset.from_npz`).  Block-manifest
-        entries always load lazily: every block starts spilled and the
-        process-wide memory budget governs how many become resident.
+        A ``.npz`` entry is read whole (and chunked under the process-wide
+        memory budget), so the trace never reads its entry again and
+        outlives a prune of it.  A block-manifest entry loads lazily: every
+        block starts spilled, backed by its file in the entry, and the
+        budget governs how many become resident.
         """
         manifest_dir = self.manifest_dir_for(key)
         candidates = [
-            (self.path_for(key),
-             lambda p: TraceDataset.from_npz(p, lazy=lazy)),
+            (self.path_for(key), TraceDataset.from_npz),
             (manifest_dir, TraceDataset.from_block_manifest),
         ]
         with get_tracer().span("cache.get", study=key):

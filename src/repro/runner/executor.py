@@ -1,6 +1,6 @@
 """The parallel sharded study runner and the suite scheduler.
 
-:class:`StudyRunner` turns one
+:func:`run_study` turns one
 :class:`~repro.workloads.generator.TraceGeneratorConfig` into a merged
 :class:`~repro.workloads.trace.TraceDataset` using a pool of worker
 processes, in two embarrassingly parallel stages:
@@ -91,7 +91,6 @@ from repro.workloads.trace import (
 __all__ = [
     "EventCallback",
     "StudyResult",
-    "StudyRunner",
     "SuiteCancelled",
     "SuiteEvent",
     "default_workers",
@@ -202,9 +201,9 @@ class StudyResult:
     """The handle every study execution returns: a dataset reference, its
     content fingerprint, and how it was produced.
 
-    :func:`run_study`, :class:`StudyRunner.run` and each scenario of
+    :func:`run_study`, :func:`run_suite` and each scenario of
     :func:`~repro.scenarios.engine.run_scenarios` all surface this one
-    shape — consumers hold the handle (``dataset`` / ``fingerprint`` /
+    shape — consumers hold the handle (``trace`` / ``fingerprint`` /
     ``metadata``) instead of bare datasets and loose keys.
     """
 
@@ -223,11 +222,6 @@ class StudyResult:
     #: actually transpiled), ``warm``/``cold`` (served from the transpile
     #: cache vs computed this run).  Empty for trace-level-policy studies.
     transpile: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def dataset(self) -> TraceDataset:
-        """The study's trace (alias of ``trace``, the handle spelling)."""
-        return self.trace
 
     @property
     def fingerprint(self) -> str:
@@ -336,14 +330,13 @@ class _Pipeline:
     """
 
     def __init__(self, pool: SharedWorkerPool, tracker: _SuiteTracker,
-                 shards_per_study: int, transpile_shards_per_study: int,
+                 shards_per_study: int,
                  transpile_cache: Optional[TranspileCache]):
         self.pool = pool
         self.epoch = pool.next_epoch()
         self.tracker = tracker
         self.tracer = get_tracer()
         self.shards_per_study = shards_per_study
-        self.transpile_shards_per_study = transpile_shards_per_study
         self.transpile_cache = transpile_cache
 
     def _clock(self, study: _Study, phase: str, **args: object) -> None:
@@ -433,7 +426,7 @@ class _Pipeline:
                 pairs, fleet, study.config, self.transpile_cache)
         study.transpile = {**class_stats, "warm": len(warm),
                            "cold": len(cold)}
-        shards = plan_transpile_shards(cold, self.transpile_shards_per_study)
+        shards = plan_transpile_shards(cold, self.shards_per_study)
         if shards:
             self.tracker.add_tasks(len(shards))
             self.tracker.emit("transpile-queued", key=study.key,
@@ -578,22 +571,19 @@ def run_suite(
     *,
     num_shards: Optional[int] = None,
     cache: Optional[Union[TraceCache, str, Path]] = None,
-    use_cache: bool = True,
-    lazy_cache: bool = False,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    transpile_workers: Optional[int] = None,
 ) -> Dict[str, StudyResult]:
     """Run many distinct studies as one interleaved queue on a shared pool.
 
     ``studies`` is an ordered sequence of ``(fingerprint, config)`` pairs
     with distinct fingerprints (deduplicate identical expansions first —
-    the scenario engine does).  Cache hits are served immediately; every
-    miss is planned and its first stage queued up front, and each later
-    stage is queued the moment the one before it completes, so the pool
-    is never idle behind a per-study phase barrier or the submission
-    order of the suite.  Returns a dict keyed by fingerprint, in
-    ``studies`` order.
+    :func:`~repro.scenarios.engine.run_scenarios` does).  Cache hits are
+    served immediately; every miss is planned and its first stage queued
+    up front, and each later stage is queued the moment the one before it
+    completes, so the pool is never idle behind a per-study phase barrier
+    or the submission order of the suite.  Returns a dict keyed by
+    fingerprint, in ``studies`` order.
 
     Each study's ``timings`` hold one interval per stage (plan, transpile,
     synthesis, simulation, merge): a pool stage runs from the end of the
@@ -610,16 +600,17 @@ def run_suite(
 
     With ``pool=None`` a transient pool of :func:`default_workers` workers
     is created for the call (terminated, not joined, if a task fails).
+    ``num_shards`` (default: the pool width) is the task count of each
+    study's synthesis stage.
 
     Rank-mode studies (``scenario.ranking_objective`` set) run an extra
     **transpile** stage first: the study's cold equivalence-class pairs
-    are sharded across ``transpile_workers`` pool tasks (default: the pool
-    width), warm pairs come from the
-    :class:`~repro.transpiler.cache.TranspileCache` over the trace
+    are sharded across ``num_shards`` pool tasks too, warm pairs come from
+    the :class:`~repro.transpiler.cache.TranspileCache` over the trace
     cache's own :class:`~repro.core.cacheroot.CacheRoot`, and the merged
     :class:`~repro.workloads.transpile_classes.ClassRankTable` ships with
     every synthesis shard.  Sharding and caching here are runtime knobs —
-    the trace is byte-identical with any worker count, cold or warm.
+    the trace is byte-identical with any shard count, cold or warm.
     """
     keys = [key for key, _ in studies]
     if len(set(keys)) != len(keys):
@@ -632,11 +623,7 @@ def run_suite(
         with SharedWorkerPool(default_workers()) as transient:
             return run_suite(
                 studies, transient, num_shards=num_shards, cache=cache,
-                use_cache=use_cache, lazy_cache=lazy_cache,
-                on_event=on_event, should_stop=should_stop,
-                transpile_workers=transpile_workers)
-    if not use_cache:
-        cache = None
+                on_event=on_event, should_stop=should_stop)
 
     studies_counter = get_registry().counter(
         "repro_runner_studies_total", outcome="simulated",
@@ -648,9 +635,6 @@ def run_suite(
         pool, tracker,
         shards_per_study=max(1, int(num_shards if num_shards is not None
                                     else pool.workers)),
-        transpile_shards_per_study=max(
-            1, int(transpile_workers if transpile_workers is not None
-                   else pool.workers)),
         transpile_cache=(TranspileCache(cache.cache_root)
                          if cache is not None else None))
     tracer = pipeline.tracer
@@ -668,8 +652,7 @@ def run_suite(
         for key, config in studies:
             _check_stop()
             started = time.perf_counter()
-            cached = (cache.get(key, lazy=lazy_cache)
-                      if cache is not None else None)
+            cached = cache.get(key) if cache is not None else None
             if cached is None:
                 studies_counter.inc()
                 pending.append(pipeline.start(key, config, started))
@@ -713,61 +696,6 @@ def run_suite(
         pool.release_epoch(pipeline.epoch)
 
 
-class StudyRunner:
-    """Runs one study config to a merged trace across worker processes.
-
-    Pass ``pool`` to schedule onto a long-lived
-    :class:`~repro.runner.pool.SharedWorkerPool` (the suite session);
-    without one, a transient pool of ``workers`` processes is created per
-    :meth:`run` and terminated — not joined — if a worker task raises, so a
-    failed map can never hang the run.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TraceGeneratorConfig] = None,
-        workers: Optional[int] = None,
-        num_shards: Optional[int] = None,
-        cache: Optional[Union[TraceCache, str, Path]] = None,
-        lazy_cache: bool = False,
-        pool: Optional[SharedWorkerPool] = None,
-        on_event: Optional[EventCallback] = None,
-        transpile_workers: Optional[int] = None,
-    ):
-        self.config = config or TraceGeneratorConfig()
-        self.pool = pool
-        self.transpile_workers = transpile_workers
-        default = pool.workers if pool is not None else default_workers()
-        self.workers = max(1, int(workers if workers is not None else default))
-        self.num_shards = max(1, int(num_shards if num_shards is not None
-                                     else self.workers))
-        if cache is not None and not isinstance(cache, TraceCache):
-            cache = TraceCache(cache)
-        self.cache = cache
-        #: serve cache hits as lazily loaded column datasets (cheap when the
-        #: consumer — e.g. a scenario comparison — reads a few columns)
-        self.lazy_cache = bool(lazy_cache)
-        self._on_event = on_event
-
-    # -- execution ---------------------------------------------------------------------
-
-    def run(self, use_cache: bool = True) -> StudyResult:
-        """Produce the merged study trace (from cache when possible)."""
-        key = config_fingerprint(self.config)
-        with (nullcontext(self.pool) if self.pool is not None
-              else SharedWorkerPool(self.workers)) as pool:
-            results = run_suite(
-                [(key, self.config)], pool,
-                num_shards=self.num_shards,
-                cache=self.cache,
-                use_cache=use_cache,
-                lazy_cache=self.lazy_cache,
-                on_event=self._on_event,
-                transpile_workers=self.transpile_workers,
-            )
-        return results[key]
-
-
 def run_study(
     total_jobs: int = 6000,
     months: Optional[int] = None,
@@ -776,34 +704,28 @@ def run_study(
     config: Optional[TraceGeneratorConfig] = None,
     workers: Optional[int] = None,
     num_shards: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    use_cache: bool = True,
-    lazy_cache: bool = False,
+    cache_dir: Optional[Union[TraceCache, str, Path]] = None,
     pool: Optional[SharedWorkerPool] = None,
     on_event: Optional[EventCallback] = None,
-    transpile_workers: Optional[int] = None,
 ) -> StudyResult:
-    """One-call entry point: run a study config through the sharded runner.
+    """Run one study config through :func:`run_suite`.
 
     Either pass an explicit ``config`` or the common scalar knobs
-    (``total_jobs`` / ``months`` / ``seed``).  ``lazy_cache`` defaults to
-    False here (a plain study usually consumes the whole trace); the
-    scenario entry points default it to True because comparisons read a
-    handful of columns — the flag is threaded through either way.
+    (``total_jobs`` / ``months`` / ``seed``).  Pass ``pool`` to schedule
+    onto a long-lived :class:`~repro.runner.pool.SharedWorkerPool`;
+    without one, a transient pool of ``workers`` processes runs the study
+    and is terminated — not joined — if a task fails.  ``num_shards``
+    defaults to the pool width.  ``cache_dir`` is a directory or a
+    :class:`~repro.runner.cache.TraceCache`; without one nothing is
+    cached.
     """
     if config is None:
         kwargs: Dict[str, object] = {"total_jobs": total_jobs, "seed": seed}
         if months is not None:
             kwargs["months"] = months
         config = TraceGeneratorConfig(**kwargs)
-    runner = StudyRunner(
-        config,
-        workers=workers,
-        num_shards=num_shards,
-        cache=cache_dir,
-        lazy_cache=lazy_cache,
-        pool=pool,
-        on_event=on_event,
-        transpile_workers=transpile_workers,
-    )
-    return runner.run(use_cache=use_cache)
+    key = config_fingerprint(config)
+    with (nullcontext(pool) if pool is not None
+          else SharedWorkerPool(workers)) as active:
+        return run_suite([(key, config)], active, num_shards=num_shards,
+                         cache=cache_dir, on_event=on_event)[key]

@@ -240,9 +240,9 @@ class SharedWorkerPool:
     """A reusable pool of study workers, shared across studies and suites.
 
     The pool is lazy (processes start on the first parallel submission) and
-    long-lived: hand one instance to several :class:`StudyRunner`s,
-    scenario-engine runs or gateway jobs — even from concurrent threads —
-    and they all schedule onto the same workers.  Use it as a context
+    long-lived: hand one instance (``pool=``) to several ``run_study``,
+    ``run_scenarios`` or ``run_suite`` calls or gateway jobs — even from
+    concurrent threads — and they all schedule onto the same workers.  Use it as a context
     manager — on a clean exit outstanding work is drained and the workers
     released; on an exception they are terminated so a failed task can
     never hang the caller on join.

@@ -14,10 +14,13 @@ turns the sharded study runner into a comparative-experimentation platform:
 * :mod:`repro.scenarios.sweep` — parameter grids over perturbation fields,
   expanded into named scenario variants (:func:`expand_sweeps`).
 * :mod:`repro.scenarios.spec` — TOML/JSON scenario-suite spec files
-  (including ``{sweep = [...]}`` axis declarations).
-* :mod:`repro.scenarios.engine` — expansion + execution of the whole suite
-  on one shared worker pool with fingerprint-keyed cache reuse and
-  deduplication.
+  (including ``{sweep = [...]}`` axis declarations), and
+  :func:`resolve_submission`, the one resolution of a suite request (spec,
+  study knobs, names, sweep axes, replicates) the CLI and the gateway
+  share.
+* :mod:`repro.scenarios.engine` — :func:`run_scenarios`: expansion and
+  execution of the whole suite on one shared worker pool with
+  fingerprint-keyed cache reuse and deduplication.
 
 Comparative analysis of the resulting traces lives in
 :mod:`repro.analysis.compare`; ``python -m repro run-scenarios`` /
@@ -25,7 +28,6 @@ Comparative analysis of the resulting traces lives in
 """
 
 from repro.scenarios.engine import (
-    ScenarioEngine,
     ScenarioRun,
     ScenarioSuiteResult,
     run_scenarios,
@@ -54,6 +56,7 @@ from repro.scenarios.spec import (
     load_suite,
     parse_suite,
     read_spec_payload,
+    resolve_submission,
 )
 from repro.scenarios.sweep import (
     expand_sweep,
@@ -73,7 +76,6 @@ __all__ = [
     "Perturbation",
     "PolicySwap",
     "Scenario",
-    "ScenarioEngine",
     "ScenarioRun",
     "ScenarioSuiteResult",
     "ScenarioSuiteSpec",
@@ -89,6 +91,7 @@ __all__ = [
     "replicate_scenarios",
     "replicate_seed",
     "resolve_scenarios",
+    "resolve_submission",
     "run_scenarios",
     "sweep_axes",
     "sweep_from_flags",

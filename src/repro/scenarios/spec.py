@@ -39,6 +39,11 @@ JSON carries the same structure as an object with ``study`` and
 ``scenarios`` keys.  TOML parsing uses the standard-library ``tomllib``
 (Python 3.11+) with a ``tomli`` fallback; on interpreters with neither, TOML
 specs raise a clear error and JSON specs keep working.
+
+:func:`resolve_submission` turns a whole suite request — such a document
+plus study knobs, names, sweep axes and replicates — into the base config
+and the scenarios that run.  The CLI's scenario subcommands and the
+study-service gateway both resolve through it.
 """
 
 from __future__ import annotations
@@ -46,16 +51,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.exceptions import ScenarioError
 from repro.scenarios.perturbations import perturbation_from_dict
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.scenario import (
+    Scenario,
+    builtin_scenarios,
+    replicate_scenarios,
+    resolve_scenarios,
+)
+from repro.scenarios.sweep import expand_sweeps, sweep_from_flags
 from repro.workloads.generator import TraceGeneratorConfig
 
 #: ``[study]`` keys that map straight onto TraceGeneratorConfig fields.
 _STUDY_FIELDS = ("total_jobs", "months", "growth_ratio", "seed",
                  "include_simulator")
+
+#: top-level keys a suite request (a gateway submission) may carry;
+#: ``tenant``, ``compare`` and ``use_cache`` are read by the gateway
+_SUBMISSION_KEYS = frozenset({
+    "tenant", "study", "suite", "scenarios", "sweep", "replicates",
+    "compare", "use_cache",
+})
 
 
 @dataclass
@@ -183,3 +201,74 @@ def load_suite(path: Union[str, Path]) -> ScenarioSuiteSpec:
     """Load a scenario suite spec from a ``.toml`` or ``.json`` file."""
     path = Path(path)
     return parse_suite(read_spec_payload(path), source=path)
+
+
+def resolve_submission(
+    payload: Dict[str, object],
+    default_config: Optional[TraceGeneratorConfig] = None,
+    source: Optional[Path] = None,
+) -> Tuple[TraceGeneratorConfig, List[Scenario]]:
+    """Turn a suite request into ``(base config, concrete scenarios)``.
+
+    The request reuses the spec format end to end: an inline ``suite``
+    document (read from ``source``, which errors name) is parsed by
+    :func:`parse_suite` and its ``[study]`` table applies to
+    ``default_config`` first, ``study`` overrides the baseline knobs on
+    top, ``scenarios`` selects names from the suite (or the built-in
+    catalog when no suite is given), ``sweep`` takes the CLI's
+    ``kind.field=v1,v2`` axis strings, and ``replicates`` adds seed
+    re-rolls.  Sweep templates are expanded here, so the returned list is
+    exactly what will run.
+    """
+    if not isinstance(payload, dict):
+        raise ScenarioError("submission payload must be a JSON object")
+    unknown = set(payload) - _SUBMISSION_KEYS
+    if unknown:
+        raise ScenarioError(
+            f"submission has unknown keys {sorted(unknown)}; "
+            f"supported: {sorted(_SUBMISSION_KEYS)}")
+    base = default_config if default_config is not None \
+        else TraceGeneratorConfig()
+
+    suite_payload = payload.get("suite")
+    if suite_payload is not None:
+        spec = parse_suite(suite_payload, source=source)
+        catalog = spec.catalog()
+        base = spec.base_config(base)
+    else:
+        catalog = builtin_scenarios()
+
+    study = payload.get("study") or {}
+    if not isinstance(study, dict):
+        raise ScenarioError("'study' must be an object of baseline overrides")
+    bad = set(study) - set(_STUDY_FIELDS)
+    if bad:
+        raise ScenarioError(
+            f"'study' has unknown keys {sorted(bad)}; "
+            f"supported: {list(_STUDY_FIELDS)}")
+    if study:
+        base = replace(base, **study)
+
+    names = payload.get("scenarios")
+    if names is not None:
+        if (not isinstance(names, list)
+                or not all(isinstance(name, str) for name in names)):
+            raise ScenarioError("'scenarios' must be a list of names")
+        names = tuple(names)
+    scenarios = list(resolve_scenarios(names, catalog))
+
+    sweep_flags = payload.get("sweep")
+    if sweep_flags:
+        if (not isinstance(sweep_flags, list)
+                or not all(isinstance(flag, str) for flag in sweep_flags)):
+            raise ScenarioError(
+                "'sweep' must be a list of kind.field=v1,v2,... strings")
+        scenarios.append(sweep_from_flags(sweep_flags))
+    scenarios = expand_sweeps(scenarios)
+
+    replicates = int(payload.get("replicates", 1))
+    if replicates != 1:
+        # replicate_scenarios validates the count (at least 1).
+        scenarios = replicate_scenarios(scenarios, replicates,
+                                        base_seed=base.seed)
+    return base, list(scenarios)

@@ -19,7 +19,7 @@ long-lived multi-tenant server over the one shared worker pool:
 """
 
 from repro.service.client import GatewayError, StudyServiceClient
-from repro.service.gateway import StudyService, resolve_submission, serve
+from repro.service.gateway import StudyService, serve
 from repro.service.jobs import (
     JobQuotaExceeded,
     JobRegistry,
@@ -40,6 +40,5 @@ __all__ = [
     "StudyServiceClient",
     "UnknownJobError",
     "comparison_key",
-    "resolve_submission",
     "serve",
 ]

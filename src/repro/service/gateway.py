@@ -6,9 +6,10 @@
 (``http.server``) JSON API, turning the batch what-if CLI into submitted,
 multiplexed, streamed workloads:
 
-* ``POST /jobs`` — submit a study/suite/sweep as JSON (the scenario spec
-  payload of :func:`repro.scenarios.spec.parse_suite`, or catalog names),
-  per-tenant quota enforced, FIFO-fair across tenants;
+* ``POST /jobs`` — submit a study/suite/sweep as JSON (resolved by
+  :func:`repro.scenarios.spec.resolve_submission`, exactly as the batch
+  CLI resolves its flags), per-tenant quota enforced, FIFO-fair across
+  tenants;
 * ``GET /jobs`` / ``GET /jobs/<id>`` — list / inspect submissions;
 * ``POST /jobs/<id>/cancel`` — dequeue a queued job (freeing its quota
   slot) or abort a running one between studies;
@@ -23,7 +24,7 @@ multiplexed, streamed workloads:
   exposition format (counters, gauges, histograms across every layer).
 
 Executor threads (``executors``, default 2) pull jobs from the registry
-and run each through a :class:`~repro.scenarios.engine.ScenarioEngine`
+and run each through :func:`~repro.scenarios.engine.run_scenarios`
 scheduled onto the *shared* pool, so concurrent tenants interleave their
 synthesis shards and simulations on one set of workers — determinism is
 the runner's: every study is a pure function of its config fingerprint,
@@ -32,14 +33,13 @@ whoever submitted it and whatever ran alongside.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
@@ -47,16 +47,7 @@ from repro.analysis.compare import compare_suite
 from repro.runner.cache import config_fingerprint
 from repro.runner.executor import SuiteCancelled, SuiteEvent
 from repro.runner.pool import SharedWorkerPool
-from repro.scenarios import (
-    ScenarioEngine,
-    builtin_scenarios,
-    expand_sweeps,
-    parse_suite,
-    replicate_scenarios,
-    resolve_scenarios,
-    sweep_from_flags,
-)
-from repro.scenarios.scenario import Scenario
+from repro.scenarios import resolve_submission, run_scenarios
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -72,86 +63,7 @@ from repro.service.store import ResultStore, comparison_key
 from repro.telemetry import get_registry, get_tracer, render_prometheus
 from repro.workloads.generator import TraceGeneratorConfig
 
-__all__ = ["StudyService", "resolve_submission", "serve"]
-
-#: top-level keys a submission payload may carry
-_SUBMISSION_KEYS = frozenset({
-    "tenant", "study", "suite", "scenarios", "sweep", "replicates",
-    "compare", "use_cache",
-})
-
-#: ``study`` override keys (mirrors the spec loader's ``[study]`` table)
-_STUDY_FIELDS = ("total_jobs", "months", "growth_ratio", "seed",
-                 "include_simulator")
-
-
-def resolve_submission(
-    payload: Dict[str, object],
-    default_config: Optional[TraceGeneratorConfig] = None,
-) -> Tuple[TraceGeneratorConfig, List[Scenario]]:
-    """Turn a submission payload into ``(base config, concrete scenarios)``.
-
-    The payload reuses the batch spec format end to end: an inline
-    ``suite`` object is parsed by :func:`~repro.scenarios.spec.parse_suite`
-    (its ``[study]`` table applies first), ``study`` overrides the baseline
-    knobs on top, ``scenarios`` selects names from the suite (or the
-    built-in catalog when no suite is given), ``sweep`` takes the CLI's
-    ``kind.field=v1,v2`` axis strings, and ``replicates`` adds seed
-    re-rolls.  Sweep templates are expanded here, so the returned list is
-    exactly what will run — the same resolution order as the CLI.
-    """
-    if not isinstance(payload, dict):
-        raise ServiceError("submission payload must be a JSON object")
-    unknown = set(payload) - _SUBMISSION_KEYS
-    if unknown:
-        raise ServiceError(
-            f"submission has unknown keys {sorted(unknown)}; "
-            f"supported: {sorted(_SUBMISSION_KEYS)}")
-    base = default_config if default_config is not None \
-        else TraceGeneratorConfig()
-
-    suite_payload = payload.get("suite")
-    if suite_payload is not None:
-        spec = parse_suite(suite_payload)
-        catalog = spec.catalog()
-        base = spec.base_config(base)
-    else:
-        catalog = builtin_scenarios()
-
-    study = payload.get("study") or {}
-    if not isinstance(study, dict):
-        raise ServiceError("'study' must be an object of baseline overrides")
-    bad = set(study) - set(_STUDY_FIELDS)
-    if bad:
-        raise ServiceError(
-            f"'study' has unknown keys {sorted(bad)}; "
-            f"supported: {list(_STUDY_FIELDS)}")
-    if study:
-        base = dataclasses.replace(base, **study)
-
-    names = payload.get("scenarios")
-    if names is not None:
-        if (not isinstance(names, list)
-                or not all(isinstance(name, str) for name in names)):
-            raise ServiceError("'scenarios' must be a list of names")
-        names = tuple(names)
-    scenarios = list(resolve_scenarios(names, catalog))
-
-    sweep_flags = payload.get("sweep")
-    if sweep_flags:
-        if (not isinstance(sweep_flags, list)
-                or not all(isinstance(flag, str) for flag in sweep_flags)):
-            raise ServiceError(
-                "'sweep' must be a list of kind.field=v1,v2,... strings")
-        scenarios.append(sweep_from_flags(sweep_flags))
-    scenarios = expand_sweeps(scenarios)
-
-    replicates = int(payload.get("replicates", 1))
-    if replicates != 1:
-        scenarios = replicate_scenarios(scenarios, replicates,
-                                        base_seed=base.seed)
-    return base, list(scenarios)
-
+__all__ = ["StudyService", "serve"]
 
 class StudyService:
     """The long-lived multi-tenant study service over one shared pool."""
@@ -260,18 +172,17 @@ class StudyService:
                              **{k: v for k, v in detail.items()
                                 if k in ("jobs", "seconds")})
 
-        engine = ScenarioEngine(
-            base,
-            num_shards=self.num_shards,
-            cache=self.store.cache,
-            pool=self.pool,
-            lazy_cache=True,
-            on_event=forward,
-            should_stop=lambda: job.cancel_requested,
-        )
-        use_cache = bool(job.payload.get("use_cache", True))
+        cache = (self.store.cache if job.payload.get("use_cache", True)
+                 else None)
         try:
-            suite = engine.run(scenarios, use_cache=use_cache)
+            suite = run_scenarios(
+                scenarios, base,
+                num_shards=self.num_shards,
+                cache_dir=cache,
+                pool=self.pool,
+                on_event=forward,
+                should_stop=lambda: job.cancel_requested,
+            )
         except SuiteCancelled:
             self.registry.finish(job, CANCELLED)
             return

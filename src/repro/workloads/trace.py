@@ -33,7 +33,6 @@ the hood), and every on-disk format — including the byte-stable cache
 from __future__ import annotations
 
 import csv
-import io
 import json
 import zipfile
 from dataclasses import dataclass, fields
@@ -219,12 +218,6 @@ def _encode_categorical(values: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, .
     return codes, vocab
 
 
-def _read_member_array(archive: zipfile.ZipFile, member: str) -> np.ndarray:
-    with archive.open(member + ".npy") as handle:
-        return np.lib.format.read_array(io.BytesIO(handle.read()),
-                                        allow_pickle=False)
-
-
 def _parse_npz_header(text: str, path: Path) -> Dict[str, object]:
     header = json.loads(text)
     found = header.get("schema")
@@ -234,52 +227,6 @@ def _parse_npz_header(text: str, path: Path) -> Dict[str, object]:
             f"{found!r} but this version reads schema {NPZ_SCHEMA_VERSION}; "
             f"regenerate the trace (or delete the file) to proceed")
     return header
-
-
-class _LazyNpzColumns(dict):
-    """Column mapping that decompresses one ``.npz`` member per first access.
-
-    Behaves like the eager ``{name: ndarray}`` dict the dataset stores, but a
-    column is only read (and DEFLATE-decompressed) from the archive the first
-    time something touches it, so analyses over a few columns never pay for
-    the rest of the trace.  Whole-dataset operations (subsetting, group-by,
-    re-saving) iterate ``items()`` and therefore force-load everything.
-    """
-
-    def __init__(self, path: Path, names: Sequence[str]):
-        super().__init__()
-        self._path = Path(path)
-        self._names = tuple(names)
-
-    def __missing__(self, name: str) -> np.ndarray:
-        if name not in self._names:
-            raise KeyError(name)
-        with zipfile.ZipFile(self._path) as archive:
-            array = _read_member_array(archive, f"col__{name}")
-        dict.__setitem__(self, name, array)
-        return array
-
-    def loaded(self) -> Tuple[str, ...]:
-        """Names of the columns decompressed so far."""
-        return tuple(dict.keys(self))
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def keys(self) -> Tuple[str, ...]:  # type: ignore[override]
-        return self._names
-
-    def items(self):  # type: ignore[override]
-        return [(name, self[name]) for name in self._names]
-
-    def values(self):  # type: ignore[override]
-        return [self[name] for name in self._names]
 
 
 def columns_from_records(
@@ -457,12 +404,6 @@ class TraceDataset:
         dataset._init_from_records(list(records or []), metadata)
         return dataset
 
-    @staticmethod
-    def _columns_from_records(
-        rows: List[JobRecord],
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, Tuple[str, ...]]]:
-        return columns_from_records(rows)
-
     @classmethod
     def _from_columns(cls, columns: Dict[str, np.ndarray],
                       vocabs: Dict[str, Tuple[str, ...]],
@@ -558,8 +499,8 @@ class TraceDataset:
     # -- container protocol ------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Cached so lazily loaded datasets do not decompress a column just
-        # to learn the row count (the npz header carries it).
+        # Cached so a chunked dataset does not gather a column from its
+        # blocks just to learn the row count.
         count = self._row_count
         if count is None:
             count = int(self._columns["month_index"].shape[0])
@@ -1156,14 +1097,11 @@ class TraceDataset:
                 write_npz_member(archive, member, array)
 
     @classmethod
-    def from_npz(cls, path: Union[str, Path],
-                 lazy: bool = False) -> "TraceDataset":
+    def from_npz(cls, path: Union[str, Path]) -> "TraceDataset":
         """Load a trace written by :meth:`to_npz`.
 
-        With ``lazy=True`` only the header and the categorical vocabularies
-        are decompressed up front; each column is decompressed on first
-        access, so comparisons that touch a handful of columns never pay for
-        the whole trace.
+        Every column is read whole, so the dataset never goes back to the
+        file; under a memory budget it is chunked like any other.
 
         Raises :class:`~repro.core.exceptions.TraceSchemaError` (a
         ``ValueError`` subclass) when the column-layout schema does not
@@ -1171,8 +1109,6 @@ class TraceDataset:
         ``KeyError`` on missing members.
         """
         path = Path(path)
-        if lazy:
-            return cls._from_npz_lazy(path)
         with np.load(path, allow_pickle=False) as data:
             header = _parse_npz_header(str(data["__meta__"][0]), path)
             columns: Dict[str, np.ndarray] = {}
@@ -1186,28 +1122,6 @@ class TraceDataset:
                 vocabs[name] = tuple(data[f"vocab__{name}"].tolist())
             metadata = header.get("metadata", {})
         dataset = cls.from_columns(columns, vocabs, metadata)
-        if isinstance(header.get("rows"), int):
-            dataset._row_count = int(header["rows"])
-        return dataset
-
-    @classmethod
-    def _from_npz_lazy(cls, path: Path) -> "TraceDataset":
-        names = (_INT_COLUMNS + _FLOAT_COLUMNS + _OPTIONAL_FLOAT_COLUMNS
-                 + _BOOL_COLUMNS + _CATEGORICAL_COLUMNS + _STRING_COLUMNS)
-        vocabs: Dict[str, Tuple[str, ...]] = {}
-        with zipfile.ZipFile(path) as archive:
-            header = _parse_npz_header(
-                str(_read_member_array(archive, "__meta__")[0]), path)
-            for name in _CATEGORICAL_COLUMNS:
-                vocabs[name] = tuple(
-                    _read_member_array(archive, f"vocab__{name}").tolist())
-            members = set(archive.namelist())
-        missing = [name for name in names if f"col__{name}.npy" not in members]
-        if missing:
-            raise KeyError(
-                f"trace npz {path} is missing columns {missing}")
-        dataset = cls._from_columns(_LazyNpzColumns(path, names), vocabs,
-                                    header.get("metadata", {}))
         if isinstance(header.get("rows"), int):
             dataset._row_count = int(header["rows"])
         return dataset
@@ -1354,17 +1268,12 @@ class TraceDataset:
         feather.write_feather(self.to_arrow(), str(path))
 
     @classmethod
-    def load(cls, path: Union[str, Path],
-             lazy: bool = False) -> "TraceDataset":
-        """Load a trace from .npz, .csv or .json (by file suffix).
-
-        ``lazy`` requests per-column on-demand loading and only applies to
-        the ``.npz`` format (text formats are parsed whole regardless).
-        """
+    def load(cls, path: Union[str, Path]) -> "TraceDataset":
+        """Load a trace from .npz, .csv or .json (by file suffix)."""
         path = Path(path)
         suffix = path.suffix.lower()
         if suffix == ".npz":
-            return cls.from_npz(path, lazy=lazy)
+            return cls.from_npz(path)
         if suffix == ".csv":
             return cls.from_csv(path)
         return cls.from_json(path)

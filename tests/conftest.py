@@ -41,11 +41,11 @@ def manhattan():
 def small_trace():
     """A reduced study trace: 400 jobs over 12 months (fast to generate)."""
     config = TraceGeneratorConfig(total_jobs=400, months=12, seed=11)
-    return run_study(config=config, workers=1, use_cache=False).trace
+    return run_study(config=config, workers=1).trace
 
 
 @pytest.fixture(scope="session")
 def medium_trace():
     """A medium trace used by analysis/prediction tests (700 jobs, 20 months)."""
     config = TraceGeneratorConfig(total_jobs=700, months=20, seed=5)
-    return run_study(config=config, workers=1, use_cache=False).trace
+    return run_study(config=config, workers=1).trace

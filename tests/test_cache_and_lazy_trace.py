@@ -1,14 +1,14 @@
-"""Tests for the PR's data-plane satellites: lazy npz column loads,
-actionable schema-mismatch errors in the trace cache, and the buffered
-backlog draw streams."""
+"""Tests for the data-plane satellites: the npz column load, actionable
+schema-mismatch errors in the trace cache, and the buffered backlog draw
+streams."""
 
 import numpy as np
 import pytest
 
 import repro.workloads.trace as trace_module
-from repro.core.exceptions import TraceSchemaError
+from repro.core.exceptions import TraceSchemaError, WorkloadError
 from repro.core.rng import BufferedDraws, RandomSource
-from repro.runner import StudyRunner, TraceCache, run_study
+from repro.runner import TraceCache, run_study
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
@@ -17,62 +17,41 @@ CONFIG = dict(total_jobs=50, months=3, seed=17)
 
 @pytest.fixture(scope="module")
 def study_trace():
-    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                     use_cache=False).trace
+    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1).trace
 
 
 class TestLazyNpz:
-    def test_lazy_load_defers_column_decompression(self, study_trace,
-                                                   tmp_path):
-        path = tmp_path / "trace.npz"
-        study_trace.to_npz(path)
-        lazy = TraceDataset.from_npz(path, lazy=True)
-        assert lazy._columns.loaded() == ()
-        # Row count comes from the header, not from a decompressed column.
-        assert len(lazy) == len(study_trace)
-        assert lazy._columns.loaded() == ()
-        queue = lazy.values("queue_seconds")
-        assert set(lazy._columns.loaded()) == {"queue_seconds"}
-        np.testing.assert_array_equal(queue,
-                                      study_trace.values("queue_seconds"))
-
-    def test_lazy_and_eager_loads_are_value_identical(self, study_trace,
-                                                      tmp_path):
-        path = tmp_path / "trace.npz"
-        study_trace.to_npz(path)
-        lazy = TraceDataset.from_npz(path, lazy=True)
-        assert lazy.metadata == study_trace.metadata
-        assert lazy.records == study_trace.records
-        assert lazy.status_counts() == study_trace.status_counts()
+    """The one ``.npz`` load: every column is read whole."""
 
     def test_lazy_trace_resaves_byte_identically(self, study_trace, tmp_path):
         path = tmp_path / "trace.npz"
         study_trace.to_npz(path)
         resaved = tmp_path / "resaved.npz"
-        TraceDataset.from_npz(path, lazy=True).to_npz(resaved)
+        TraceDataset.from_npz(path).to_npz(resaved)
         assert resaved.read_bytes() == path.read_bytes()
 
     def test_lazy_group_by_and_where_force_loads(self, study_trace, tmp_path):
         path = tmp_path / "trace.npz"
         study_trace.to_npz(path)
-        lazy = TraceDataset.from_npz(path, lazy=True)
-        machines = lazy.group_by_machine()
+        loaded = TraceDataset.from_npz(path)
+        machines = loaded.group_by_machine()
         assert set(machines) == set(study_trace.machines())
-        done = lazy.successful()
+        done = loaded.successful()
         assert len(done) == len(study_trace.successful())
 
     def test_load_dispatch_accepts_lazy(self, study_trace, tmp_path):
         path = tmp_path / "trace.npz"
         study_trace.save(path)
-        lazy = TraceDataset.load(path, lazy=True)
-        assert len(lazy) == len(study_trace)
+        loaded = TraceDataset.load(path)
+        assert len(loaded) == len(study_trace)
+        assert loaded.records == study_trace.records
 
     def test_unknown_lazy_column_rejected(self, study_trace, tmp_path):
         path = tmp_path / "trace.npz"
         study_trace.to_npz(path)
-        lazy = TraceDataset.from_npz(path, lazy=True)
-        with pytest.raises(KeyError):
-            lazy._columns["no_such_column"]
+        loaded = TraceDataset.from_npz(path)
+        with pytest.raises(WorkloadError):
+            loaded.values("no_such_column")
 
 
 class TestSchemaMismatch:
@@ -94,7 +73,7 @@ class TestSchemaMismatch:
     def test_cache_surfaces_trace_schema_mismatch(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         # Tamper with the stored entry: pretend an older generator wrote it.
         stale = TraceDataset.from_npz(result.cache_path)
         stale.metadata["trace_schema"] = TRACE_SCHEMA_VERSION - 1
@@ -108,7 +87,7 @@ class TestSchemaMismatch:
     def test_cache_surfaces_npz_layout_mismatch(self, tmp_path, monkeypatch):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         entry = TraceDataset.from_npz(result.cache_path)
         monkeypatch.setattr(trace_module, "NPZ_SCHEMA_VERSION", 999)
         entry.to_npz(result.cache_path)
@@ -120,7 +99,7 @@ class TestSchemaMismatch:
     def test_corrupt_entry_is_still_a_miss(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         result.cache_path.write_bytes(b"not a zip at all")
         assert cache.get(result.cache_key) is None
 

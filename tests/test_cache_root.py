@@ -38,7 +38,7 @@ COMPARISON = {"comparison_key": "k", "comparison": {"rows": [1, 2, 3]}}
 def plain_trace():
     return run_study(config=TraceGeneratorConfig(total_jobs=40, months=2,
                                                  seed=3),
-                     workers=1, use_cache=False).trace
+                     workers=1).trace
 
 
 def _chunked(trace):

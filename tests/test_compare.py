@@ -14,9 +14,9 @@ from repro.analysis.compare import (
 )
 from repro.core.exceptions import AnalysisError
 from repro.scenarios import (
-    ScenarioEngine,
     replicate_scenarios,
     resolve_scenarios,
+    run_scenarios,
 )
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
@@ -26,9 +26,9 @@ CONFIG = dict(total_jobs=70, months=4, seed=13)
 
 @pytest.fixture(scope="module")
 def suite():
-    engine = ScenarioEngine(TraceGeneratorConfig(**CONFIG), workers=1)
     names = ("baseline", "demand-surge", "calibration-drift", "policy-swap")
-    return engine.run(resolve_scenarios(names), use_cache=False)
+    return run_scenarios(resolve_scenarios(names),
+                         TraceGeneratorConfig(**CONFIG), workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -159,11 +159,11 @@ class TestReplicateAggregation:
             pytest.approx(0.0)
 
     def test_replicated_suite_collapses_to_groups_with_ci(self):
-        engine = ScenarioEngine(TraceGeneratorConfig(**CONFIG), workers=1)
         scenarios = replicate_scenarios(
             resolve_scenarios(("baseline", "demand-surge")), 2,
             base_seed=CONFIG["seed"])
-        replicated = engine.run(scenarios, use_cache=False)
+        replicated = run_scenarios(scenarios, TraceGeneratorConfig(**CONFIG),
+                                   workers=1)
         assert len(replicated) == 4  # two scenarios x two seed replicates
         report = compare_suite(replicated)
         # Groups collapse: one baseline anchor plus one comparison row.

@@ -46,8 +46,7 @@ def no_leaked_budget():
 
 @pytest.fixture(scope="module")
 def plain_trace():
-    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                     use_cache=False).trace
+    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1).trace
 
 
 def _records(trace):
@@ -152,7 +151,7 @@ class TestSpillUnderBudget:
         set_memory_budget(2048)
         budgeted = run_study(config=config, workers=1,
                              cache_dir=tmp_path / "cache-budget")
-        trace = budgeted.dataset
+        trace = budgeted.trace
         assert trace.is_out_of_core
         assert trace.column_nbytes() > 2048
         report = reproduce_all(trace, fleet=fleet).as_dict()
@@ -174,11 +173,11 @@ class TestSpillUnderBudget:
         set_memory_budget(2048)
         budgeted = run_scenarios(scenarios, config, workers=1,
                                  cache_dir=tmp_path / "cache-budget")
-        spilled = [run.dataset for run in budgeted
-                   if run.dataset.is_out_of_core]
+        spilled = [run.trace for run in budgeted
+                   if run.trace.is_out_of_core]
         assert spilled, "no scenario dataset went out of core"
         comparison = compare_suite(budgeted).as_dict()
-        assert any(run.dataset.data_plane_stats()["spills"] > 0
+        assert any(run.trace.data_plane_stats()["spills"] > 0
                    for run in budgeted)
         assert json.dumps(comparison, sort_keys=True) \
             == json.dumps(baseline, sort_keys=True)
@@ -292,7 +291,6 @@ class TestConstructionSurface:
     def test_study_result_handle_surface(self, tmp_path):
         result = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
                            cache_dir=tmp_path)
-        assert result.dataset is result.trace
         assert result.fingerprint == result.cache_key
         assert result.fingerprint \
             == config_fingerprint(TraceGeneratorConfig(**CONFIG))
@@ -307,7 +305,6 @@ class TestConstructionSurface:
         run = suite.runs[0]
         assert suite.result_for(run.name) is run.result
         assert suite.fingerprints()[run.name] == run.fingerprint
-        assert run.dataset is run.result.trace
 
 
 # -- streaming fetch -------------------------------------------------------------------

@@ -122,8 +122,7 @@ def _event_loop_trace(config):
 
 
 def _assert_runner_matches_event_loop(config, tmp_path, workers, shards):
-    result = run_study(config=config, workers=workers, num_shards=shards,
-                       use_cache=False)
+    result = run_study(config=config, workers=workers, num_shards=shards)
     assert "simulation" in result.metadata["phase_seconds"]
     runner_path = tmp_path / "runner.npz"
     reference_path = tmp_path / "event-loop.npz"

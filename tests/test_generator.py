@@ -25,7 +25,7 @@ from rowpath import RowPathSynthesizer
 
 def _trace(**knobs):
     config = TraceGeneratorConfig(**knobs)
-    return run_study(config=config, workers=1, use_cache=False).trace
+    return run_study(config=config, workers=1).trace
 
 
 class TestConfig:

@@ -8,7 +8,6 @@ from repro.__main__ import _resolve_suite, build_parser, main
 from repro.analysis import summarize
 from repro.core.exceptions import WorkloadError
 from repro.runner import (
-    StudyRunner,
     TraceCache,
     config_fingerprint,
     plan_machine_groups,
@@ -30,7 +29,7 @@ CONFIG = dict(total_jobs=100, months=5, seed=19)
 def reference_result():
     """The single-shard, single-worker run everything is compared against."""
     return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                     num_shards=1, use_cache=False)
+                     num_shards=1)
 
 
 class TestShardPlanning:
@@ -70,7 +69,7 @@ class TestShardInvariance:
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_merged_job_counts_invariant(self, reference_result, num_shards):
         result = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                           num_shards=num_shards, use_cache=False)
+                           num_shards=num_shards)
         assert len(result.trace) == len(reference_result.trace)
         assert result.trace.status_counts() == \
             reference_result.trace.status_counts()
@@ -79,7 +78,7 @@ class TestShardInvariance:
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_queue_time_summaries_invariant(self, reference_result, num_shards):
         result = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                           num_shards=num_shards, use_cache=False)
+                           num_shards=num_shards)
         ours = summarize(result.trace.numeric_column("queue_seconds"))
         reference = summarize(
             reference_result.trace.numeric_column("queue_seconds"))
@@ -87,7 +86,7 @@ class TestShardInvariance:
 
     def test_records_identical_across_shard_counts(self, reference_result):
         result = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                           num_shards=4, use_cache=False)
+                           num_shards=4)
         assert result.trace.records == reference_result.trace.records
 
     def test_job_ids_are_deterministic(self, reference_result):
@@ -100,7 +99,7 @@ class TestWorkerInvariance:
     def test_multiprocess_run_is_byte_identical(self, reference_result,
                                                 tmp_path):
         result = run_study(config=TraceGeneratorConfig(**CONFIG), workers=2,
-                           num_shards=4, use_cache=False)
+                           num_shards=4)
         assert result.trace.records == reference_result.trace.records
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
@@ -118,8 +117,7 @@ class TestWorkerInvariance:
             previous = set_tracer(tracer)
             try:
                 result = run_study(config=TraceGeneratorConfig(**CONFIG),
-                                   workers=workers, num_shards=2,
-                                   use_cache=False)
+                                   workers=workers, num_shards=2)
             finally:
                 set_tracer(previous)
             timings = result.timings
@@ -147,12 +145,12 @@ class TestTraceCache:
     def test_cache_roundtrip_and_hit_is_byte_identical(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        first = StudyRunner(config, workers=1, cache=cache).run()
+        first = run_study(config=config, workers=1, cache_dir=cache)
         assert not first.cache_hit
         cached_bytes = cache.get_bytes(first.cache_key)
         assert cached_bytes is not None
 
-        second = StudyRunner(config, workers=1, cache=cache).run()
+        second = run_study(config=config, workers=1, cache_dir=cache)
         assert second.cache_hit
         assert second.cache_path == first.cache_path
         assert cache.get_bytes(second.cache_key) == cached_bytes
@@ -162,9 +160,11 @@ class TestTraceCache:
     def test_no_cache_bypasses_lookup(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        StudyRunner(config, workers=1, cache=cache).run()
-        again = StudyRunner(config, workers=1, cache=cache).run(use_cache=False)
+        run_study(config=config, workers=1, cache_dir=cache)
+        again = run_study(config=config, workers=1)
         assert not again.cache_hit
+        assert again.cache_path is None
+        assert cache.stats()["hits"] == 0
 
     def test_fingerprint_changes_with_config(self):
         base = TraceGeneratorConfig(**CONFIG)
@@ -221,7 +221,7 @@ class TestCommandLine:
     def test_figures_from_trace_file(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         run_study(config=TraceGeneratorConfig(total_jobs=40, months=3, seed=5),
-                  workers=1, use_cache=False).trace.to_json(trace_path)
+                  workers=1).trace.to_json(trace_path)
         figures_path = tmp_path / "figures.json"
         code = main([
             "figures", "--trace", str(trace_path),

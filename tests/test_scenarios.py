@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.cacheroot import CacheRoot
 from repro.core.exceptions import ScenarioError, WorkloadError
 from repro.runner import run_study
 from repro.runner.cache import config_fingerprint
@@ -16,12 +18,13 @@ from repro.scenarios import (
     MachineOutage,
     PolicySwap,
     Scenario,
-    ScenarioEngine,
     builtin_scenarios,
     load_suite,
     perturbation_from_dict,
     resolve_scenarios,
+    run_scenarios,
 )
+from repro.workloads.blocks import get_memory_budget, set_memory_budget
 from repro.workloads.generator import ScenarioKnobs, TraceGeneratorConfig
 from repro.workloads.users import MachineSelectionPolicy
 
@@ -65,9 +68,8 @@ class TestExpansion:
         assert surged.scenario is None or surged.scenario.is_neutral()
 
     def test_distinct_scenarios_have_distinct_fingerprints(self, base_config):
-        engine = ScenarioEngine(base_config)
         fingerprints = {
-            name: engine.fingerprint(scenario)
+            name: config_fingerprint(scenario.apply_to(base_config))
             for name, scenario in builtin_scenarios().items()
         }
         assert len(set(fingerprints.values())) == len(fingerprints)
@@ -198,11 +200,10 @@ class TestDeterminism:
     def test_byte_identical_across_worker_and_shard_counts(
             self, base_config, tmp_path, scenario_name):
         scenario = builtin_scenarios()[scenario_name]
-        engine = ScenarioEngine(base_config, workers=1, num_shards=1)
-        serial = engine.run([scenario], use_cache=False).run_for(scenario_name)
-        sharded_engine = ScenarioEngine(base_config, workers=2, num_shards=4)
-        sharded = sharded_engine.run([scenario],
-                                     use_cache=False).run_for(scenario_name)
+        serial = run_scenarios([scenario], base_config, workers=1,
+                               num_shards=1).run_for(scenario_name)
+        sharded = run_scenarios([scenario], base_config, workers=2,
+                                num_shards=4).run_for(scenario_name)
         serial_path = tmp_path / "serial.npz"
         sharded_path = tmp_path / "sharded.npz"
         serial.trace.to_npz(serial_path)
@@ -211,10 +212,9 @@ class TestDeterminism:
 
     def test_baseline_scenario_matches_plain_run_study(self, base_config,
                                                        tmp_path):
-        plain = run_study(config=base_config, workers=1, use_cache=False)
-        engine = ScenarioEngine(base_config, workers=1)
-        baseline = engine.run([builtin_scenarios()["baseline"]],
-                              use_cache=False).run_for("baseline")
+        plain = run_study(config=base_config, workers=1)
+        baseline = run_scenarios([builtin_scenarios()["baseline"]],
+                                 base_config, workers=1).run_for("baseline")
         plain_path = tmp_path / "plain.npz"
         scenario_path = tmp_path / "scenario.npz"
         plain.trace.to_npz(plain_path)
@@ -225,12 +225,12 @@ class TestDeterminism:
 
 class TestEngine:
     def test_cache_reuse_across_suites(self, base_config, tmp_path):
-        engine = ScenarioEngine(base_config, workers=1,
-                                cache=tmp_path / "cache")
         scenarios = resolve_scenarios(("baseline", "machine-outage"))
-        first = engine.run(scenarios)
+        first = run_scenarios(scenarios, base_config, workers=1,
+                              cache_dir=tmp_path / "cache")
         assert all(not run.cache_hit for run in first)
-        second = engine.run(scenarios)
+        second = run_scenarios(scenarios, base_config, workers=1,
+                               cache_dir=tmp_path / "cache")
         assert all(run.cache_hit for run in second)
         assert second.run_for("baseline").trace.records == \
             first.run_for("baseline").trace.records
@@ -239,27 +239,26 @@ class TestEngine:
             self, base_config, tmp_path):
         cache_dir = tmp_path / "cache"
         run_study(config=base_config, workers=1, cache_dir=cache_dir)
-        engine = ScenarioEngine(base_config, workers=1, cache=cache_dir)
-        suite = engine.run([builtin_scenarios()["baseline"]])
+        suite = run_scenarios([builtin_scenarios()["baseline"]], base_config,
+                              workers=1, cache_dir=cache_dir)
         assert suite.run_for("baseline").cache_hit
 
     def test_identical_expansions_are_deduplicated(self, base_config):
-        engine = ScenarioEngine(base_config, workers=1)
         twin_a = Scenario("twin-a", perturbations=(DemandSurge(scale=1.4),))
         twin_b = Scenario("twin-b", perturbations=(DemandSurge(scale=1.4),))
-        suite = engine.run([twin_a, twin_b], use_cache=False)
+        suite = run_scenarios([twin_a, twin_b], base_config, workers=1)
         run_b = suite.run_for("twin-b")
         assert run_b.deduplicated_from == "twin-a"
         assert run_b.trace is suite.run_for("twin-a").trace
 
     def test_duplicate_names_rejected(self, base_config):
-        engine = ScenarioEngine(base_config, workers=1)
         with pytest.raises(ScenarioError):
-            engine.run([Scenario("x"), Scenario("x")])
+            run_scenarios([Scenario("x"), Scenario("x")], base_config,
+                          workers=1)
 
     def test_empty_suite_rejected(self, base_config):
         with pytest.raises(ScenarioError):
-            ScenarioEngine(base_config).run([])
+            run_scenarios([], base_config)
 
 
 class TestSpecFiles:
@@ -485,44 +484,49 @@ class TestCommandLine:
                    for entry in comparison["scenarios"])
 
 
-class TestLazyCacheThreading:
-    """The one-call entry points must not drop the lazy_cache flag."""
+class TestScenarioCacheHit:
+    """A scenario cache hit is read like a plain study's: whole, chunked
+    under the memory budget, and independent of its entry afterwards."""
 
-    def test_run_scenarios_and_run_study_thread_lazy_cache(
-            self, tmp_path, monkeypatch):
-        from repro.runner import run_study
-        from repro.runner.cache import TraceCache
-        from repro.scenarios import run_scenarios
-        from repro.scenarios.engine import ScenarioEngine
+    CONFIG = dict(total_jobs=300, months=3, seed=7)
+    BUDGET = 16 * 1024
 
-        seen = []
-        original = TraceCache.get
-
-        def spy(self, key, lazy=False):
-            seen.append(lazy)
-            return original(self, key, lazy=lazy)
-
-        monkeypatch.setattr(TraceCache, "get", spy)
-        config = TraceGeneratorConfig(**CONFIG)
+    @pytest.fixture
+    def filled(self, tmp_path):
+        """A cache holding the baseline study, filled without a budget."""
+        config = TraceGeneratorConfig(**self.CONFIG)
         scenarios = resolve_scenarios(("baseline",))
+        cold = run_scenarios(scenarios, config, workers=1,
+                             cache_dir=tmp_path)
+        assert not cold.runs[0].cache_hit
+        return config, scenarios, cold.runs[0].trace
 
-        # ScenarioEngine defaults lazy_cache=True and run_scenarios
-        # inherits that default...
-        run_scenarios(scenarios, config, workers=1,
-                      cache_dir=tmp_path / "cache")
-        assert seen and all(seen)
-        # ...and an explicit override reaches the cache lookup.
-        seen.clear()
-        run_scenarios(scenarios, config, workers=1,
-                      cache_dir=tmp_path / "cache", lazy_cache=False)
-        assert seen and not any(seen)
+    def test_hit_honours_the_memory_budget(self, filled, tmp_path):
+        config, scenarios, _ = filled
+        previous = get_memory_budget()
+        set_memory_budget(self.BUDGET)
+        try:
+            study = run_study(config=config, workers=1, cache_dir=tmp_path)
+            scenario = run_scenarios(scenarios, config, workers=1,
+                                     cache_dir=tmp_path).runs[0]
+        finally:
+            set_memory_budget(previous)
+        assert study.cache_hit and scenario.cache_hit
+        assert scenario.fingerprint == study.fingerprint
+        for trace in (study.trace, scenario.trace):
+            assert trace.is_chunked and trace.is_out_of_core
+            trace.group_by("machine")
+            stats = trace.data_plane_stats()
+            assert stats["total_bytes"] > self.BUDGET
+            assert stats["resident_bytes"] <= self.BUDGET
 
-        # run_study defaults lazy_cache=False and threads an override.
-        seen.clear()
-        run_study(config=config, workers=1, cache_dir=tmp_path / "cache")
-        assert seen and not any(seen)
-        seen.clear()
-        run_study(config=config, workers=1, cache_dir=tmp_path / "cache",
-                  lazy_cache=True)
-        assert seen and all(seen)
-        assert ScenarioEngine(config).lazy_cache is True
+    def test_hit_outlives_a_prune_of_its_entry(self, filled, tmp_path):
+        config, scenarios, cold = filled
+        hit = run_scenarios(scenarios, config, workers=1,
+                            cache_dir=tmp_path).runs[0]
+        assert hit.cache_hit
+        assert CacheRoot(tmp_path).prune(0)
+        assert CacheRoot(tmp_path).entries() == []
+        np.testing.assert_array_equal(hit.trace.values("queue_seconds"),
+                                      cold.values("queue_seconds"))
+        assert hit.trace.records == cold.records

@@ -9,22 +9,25 @@ submit → stream → fetch round trip (byte-identical to the batch
 cancellation semantics of the job registry, and submission validation.
 """
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import _resolve_suite, _suite_payload, build_parser, main
+from repro.core.exceptions import ScenarioError
 from repro.runner import TraceCache
-from repro.scenarios import ScenarioEngine, resolve_scenarios
+from repro.runner.cache import config_fingerprint
+from repro.scenarios import resolve_scenarios, resolve_submission, run_scenarios
 from repro.service import (
     GatewayError,
     JobQuotaExceeded,
     JobRegistry,
-    ServiceError,
     StudyService,
     StudyServiceClient,
     UnknownJobError,
     comparison_key,
-    resolve_submission,
 )
 from repro.workloads.generator import TraceGeneratorConfig
 
@@ -102,9 +105,8 @@ class TestRoundTrip:
         # Fetched trace bytes are byte-identical to what the batch
         # run-scenarios path caches under the same fingerprint.
         batch_cache = tmp_path / "batch-cache"
-        engine = ScenarioEngine(TraceGeneratorConfig(**CONFIG), workers=1,
-                                num_shards=1, cache=batch_cache)
-        engine.run(resolve_scenarios(SUITE))
+        run_scenarios(resolve_scenarios(SUITE), TraceGeneratorConfig(**CONFIG),
+                      workers=1, num_shards=1, cache_dir=batch_cache)
         for name in SUITE:
             fingerprint = result["fingerprints"][name]
             served = client.fetch_trace(fingerprint)
@@ -400,14 +402,60 @@ class TestResolveSubmission:
         assert "base#r1" in names  # the replicate re-roll of the baseline
 
     def test_rejects_unknown_keys(self):
-        with pytest.raises(ServiceError):
+        with pytest.raises(ScenarioError):
             resolve_submission({"nope": 1})
-        with pytest.raises(ServiceError):
+        with pytest.raises(ScenarioError):
             resolve_submission({"study": {"bogus": 1}})
-        with pytest.raises(ServiceError):
+        with pytest.raises(ScenarioError):
             resolve_submission({"scenarios": "baseline"})
-        with pytest.raises(ServiceError):
+        with pytest.raises(ScenarioError):
             resolve_submission({"sweep": "backlog_shift.scale=1,2"})
+
+    SPEC = str(Path(__file__).resolve().parent.parent / "examples"
+               / "scenarios.toml")
+
+    @pytest.mark.parametrize("flags,count", [
+        pytest.param([], 12, id="defaults"),
+        pytest.param(["--jobs", "300", "--scenarios",
+                      "baseline,demand-surge", "--replicates", "2"], 4,
+                     id="names-replicates"),
+        pytest.param(["--spec", SPEC, "--jobs", "6000", "--sweep",
+                      "backlog_shift.scale=1,2"], 11, id="spec-sweep"),
+        pytest.param(["--spec", SPEC, "--replicates", "3"], 27,
+                     id="spec-replicates"),
+    ])
+    def test_cli_and_gateway_resolve_alike(self, monkeypatch, flags, count):
+        """``run-scenarios`` resolves its flags locally; ``submit`` sends
+        the same flags as JSON to a gateway started with the default
+        knobs.  Both must run the same scenarios on the same baseline."""
+        for variable in ("REPRO_BENCH_JOBS", "REPRO_BENCH_MONTHS",
+                         "REPRO_BENCH_SEED"):
+            monkeypatch.delenv(variable, raising=False)
+        parser = build_parser()
+        local_base, local = _resolve_suite(
+            parser.parse_args(["run-scenarios", *flags]))
+        served = parser.parse_args(["serve"])
+        wire = json.loads(json.dumps(
+            _suite_payload(parser.parse_args(["submit", *flags]))))
+        gateway_base, remote = resolve_submission(wire, TraceGeneratorConfig(
+            total_jobs=served.jobs, months=served.months, seed=served.seed))
+        assert len(local) == count
+        assert gateway_base == local_base
+        assert [scenario.name for scenario in remote] == \
+            [scenario.name for scenario in local]
+        assert [config_fingerprint(scenario.apply_to(gateway_base))
+                for scenario in remote] == \
+            [config_fingerprint(scenario.apply_to(local_base))
+             for scenario in local]
+
+    def test_malformed_spec_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenarios": [{"name": "x"}],
+                                   "extra": True}))
+        assert main(["run-scenarios", "--spec", str(bad), "--no-cache",
+                     "--quiet"]) == 2
+        assert f"repro: error: spec {bad} has unknown top-level keys" \
+            in capsys.readouterr().err
 
     def test_comparison_key_is_order_sensitive_content_hash(self):
         triples = [("a", "f1", None), ("b", "f2", "a")]

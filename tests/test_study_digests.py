@@ -64,6 +64,6 @@ def column_digest(trace) -> str:
 @pytest.mark.parametrize("case", sorted(RECORDED))
 def test_study_matches_recorded_digest(case):
     config = CONFIGS[case]
-    trace = run_study(config=config, workers=1, use_cache=False).trace
+    trace = run_study(config=config, workers=1).trace
     assert len(trace) == config.total_jobs
     assert column_digest(trace) == RECORDED[case]

@@ -15,7 +15,6 @@ from repro.core.exceptions import ScenarioError, WorkloadError
 from repro.devices.catalog import MACHINE_NAMES
 from repro.runner import (
     SharedWorkerPool,
-    StudyRunner,
     TraceCache,
     config_fingerprint,
     run_study,
@@ -27,7 +26,6 @@ from repro.scenarios import (
     FleetChange,
     MachineOutage,
     Scenario,
-    ScenarioEngine,
     SweepValues,
     builtin_scenarios,
     expand_sweep,
@@ -35,6 +33,7 @@ from repro.scenarios import (
     parse_sweep_flag,
     replicate_scenarios,
     resolve_scenarios,
+    run_scenarios,
     sweep_from_flags,
 )
 from repro.workloads.generator import ScenarioKnobs, TraceGeneratorConfig
@@ -67,8 +66,7 @@ def solo_traces(base_config):
     """The reference every suite run must match: one single-worker
     ``run_study`` per scenario, keyed by scenario name."""
     return {scenario.name: run_study(config=scenario.apply_to(base_config),
-                                     workers=1, num_shards=1,
-                                     use_cache=False).trace
+                                     workers=1, num_shards=1).trace
             for scenario in _suite(swept=True)}
 
 
@@ -117,9 +115,8 @@ class TestSuiteDeterminism:
             self, base_config, solo_traces, tmp_path, workers,
             num_shards, swept):
         scenarios = _suite(swept)
-        engine = ScenarioEngine(base_config, workers=workers,
-                                num_shards=num_shards)
-        suite = engine.run(scenarios, use_cache=False)
+        suite = run_scenarios(scenarios, base_config, workers=workers,
+                              num_shards=num_shards)
         for scenario in scenarios:
             name = scenario.name
             ours = _trace_bytes(tmp_path, "suite", suite.run_for(name).trace)
@@ -131,11 +128,9 @@ class TestSuiteDeterminism:
         studies = [(config_fingerprint(base_config), base_config),
                    (config_fingerprint(surge), surge)]
         with SharedWorkerPool(2) as pool:
-            results = run_suite(studies, pool, num_shards=3,
-                                use_cache=False)
+            results = run_suite(studies, pool, num_shards=3)
         for key, config in studies:
-            solo = run_study(config=config, workers=1, num_shards=1,
-                             use_cache=False)
+            solo = run_study(config=config, workers=1, num_shards=1)
             assert _trace_bytes(tmp_path, f"suite-{key}",
                                 results[key].trace) == \
                 _trace_bytes(tmp_path, f"solo-{key}", solo.trace)
@@ -144,23 +139,24 @@ class TestSuiteDeterminism:
         key = config_fingerprint(base_config)
         with pytest.raises(WorkloadError):
             run_suite([(key, base_config), (key, base_config)],
-                      SharedWorkerPool(1), use_cache=False)
+                      SharedWorkerPool(1))
 
     def test_pool_survives_several_suite_runs(self, base_config, tmp_path):
         cache = TraceCache(tmp_path / "cache")
         with SharedWorkerPool(2) as pool:
-            engine = ScenarioEngine(base_config, cache=cache, pool=pool)
             scenarios = resolve_scenarios(("baseline", "demand-surge"))
-            first = engine.run(scenarios)
+            first = run_scenarios(scenarios, base_config, cache_dir=cache,
+                                  pool=pool)
             assert all(not run.cache_hit for run in first)
-            second = engine.run(scenarios)
+            second = run_scenarios(scenarios, base_config, cache_dir=cache,
+                                   pool=pool)
             assert all(run.cache_hit for run in second)
 
     def test_closed_pool_rejects_new_work(self, base_config):
         pool = SharedWorkerPool(2)
         pool.close()
         with pytest.raises(WorkloadError):
-            StudyRunner(base_config, pool=pool).run(use_cache=False)
+            run_study(config=base_config, pool=pool)
 
     def test_epochs_are_unique_across_pool_instances(self):
         # Regression: per-instance epoch counters restarting at 1 let a
@@ -179,9 +175,9 @@ class TestSuiteDeterminism:
     def test_inline_worker_state_is_evicted_between_runs(self, base_config):
         from repro.runner import pool as pool_module
 
-        run_study(config=base_config, workers=1, use_cache=False)
+        run_study(config=base_config, workers=1)
         other = TraceGeneratorConfig(total_jobs=40, months=2, seed=23)
-        run_study(config=other, workers=1, use_cache=False)
+        run_study(config=other, workers=1)
         # Only the most recent run's epoch may keep state alive in-process.
         epochs = {epoch for epoch, _ in pool_module._STATE}
         assert len(epochs) <= 1
@@ -198,8 +194,7 @@ class TestReplicates:
             ["baseline", "baseline#r1", "baseline#r2"]
         assert scenarios[0].replicate_of is None
         assert all(s.replicate_of == "baseline" for s in scenarios[1:])
-        engine = ScenarioEngine(base_config, workers=1)
-        suite = engine.run(scenarios, use_cache=False)
+        suite = run_scenarios(scenarios, base_config, workers=1)
         fingerprints = {run.fingerprint for run in suite}
         assert len(fingerprints) == 3
         assert all(run.deduplicated_from is None for run in suite)
@@ -209,9 +204,8 @@ class TestReplicates:
         scenario = builtin_scenarios()["demand-surge"]
         replicated = replicate_scenarios([scenario], 2,
                                          base_seed=base_config.seed)
-        engine = ScenarioEngine(base_config)
-        assert engine.fingerprint(replicated[0]) == \
-            engine.fingerprint(scenario)
+        assert config_fingerprint(replicated[0].apply_to(base_config)) == \
+            config_fingerprint(scenario.apply_to(base_config))
 
     def test_replication_is_deterministic(self, base_config):
         first = replicate_scenarios([Scenario("x")], 4, base_seed=3)
@@ -279,8 +273,7 @@ class TestSweeps:
     def test_engine_auto_expands_sweeps(self, base_config):
         template = Scenario("backlog", perturbations=(
             BacklogShift(scale=SweepValues(1.0, 2.0)),))
-        engine = ScenarioEngine(base_config, workers=1)
-        suite = engine.run([template], use_cache=False)
+        suite = run_scenarios([template], base_config, workers=1)
         assert suite.names() == ["backlog@scale=1", "backlog@scale=2"]
         # The neutral grid point expands to the plain baseline study.
         assert suite.run_for("backlog@scale=1").fingerprint == \
@@ -337,8 +330,7 @@ class TestFailurePaths:
     def test_cache_put_cleans_up_scratch_on_failure(self, tmp_path,
                                                     monkeypatch):
         cache = TraceCache(tmp_path / "cache")
-        trace = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                          use_cache=False).trace
+        trace = run_study(config=TraceGeneratorConfig(**CONFIG), workers=1).trace
 
         def explode(self, path):
             path.write_bytes(b"partial")
@@ -357,9 +349,8 @@ class TestFailurePaths:
         # Patch before the fork so the children inherit the failing task
         # (a module-level function, so apply_async can pickle it).
         monkeypatch.setattr(pool_module, "_synthesise_task", _exploding_task)
-        runner = StudyRunner(base_config, workers=2)
         with pytest.raises(RuntimeError, match="worker blew up"):
-            runner.run(use_cache=False)
+            run_study(config=base_config, workers=2)
 
     def test_simulation_outage_scenario_still_deterministic(
             self, base_config, tmp_path):
@@ -367,10 +358,10 @@ class TestFailurePaths:
         # the shared pool's keyed worker state.
         scenario = Scenario("outage", perturbations=(
             MachineOutage("ibmqx2", first_month=0, last_month=1),))
-        shared = ScenarioEngine(base_config, workers=2, num_shards=3).run(
-            [scenario], use_cache=False)
+        shared = run_scenarios([scenario], base_config, workers=2,
+                               num_shards=3)
         solo = run_study(config=scenario.apply_to(base_config), workers=1,
-                         num_shards=1, use_cache=False)
+                         num_shards=1)
         assert _trace_bytes(tmp_path, "shared",
                             shared.run_for("outage").trace) == \
             _trace_bytes(tmp_path, "solo", solo.trace)
@@ -392,8 +383,7 @@ class TestSuiteEvents:
         events = []
         studies = self._studies(base_config)
         with SharedWorkerPool(2) as pool:
-            run_suite(studies, pool, num_shards=2, use_cache=False,
-                      on_event=events.append)
+            run_suite(studies, pool, num_shards=2, on_event=events.append)
         kinds = [event.kind for event in events]
         assert kinds[0] == "queued"
         assert kinds[-1] == "suite-done"
@@ -438,12 +428,10 @@ class TestSuiteEvents:
         studies = self._studies(base_config, count=3)
         with SharedWorkerPool(1) as pool:
             with pytest.raises(SuiteCancelled):
-                run_suite(studies, pool, num_shards=1, use_cache=False,
-                          should_stop=lambda: True)
+                run_suite(studies, pool, num_shards=1, should_stop=lambda: True)
             # The shared pool survives a cancelled run: the same studies
             # run to completion afterwards.
-            results = run_suite(studies, pool, num_shards=1,
-                                use_cache=False)
+            results = run_suite(studies, pool, num_shards=1)
         assert len(results) == len(studies)
 
     def test_event_handler_errors_do_not_break_the_run(self, base_config):
@@ -453,7 +441,7 @@ class TestSuiteEvents:
         studies = self._studies(base_config, count=1)
         with SharedWorkerPool(1) as pool:
             results = run_suite(studies, pool, num_shards=2,
-                                use_cache=False, on_event=explode)
+                                on_event=explode)
         assert len(results) == 1
 
 
@@ -476,13 +464,12 @@ class TestStagePaths:
         monkeypatch.setattr(pool_module, task, _exploding_task)
         with SharedWorkerPool(workers) as pool:
             with pytest.raises(RuntimeError, match="worker blew up"):
-                _bounded(lambda: run_suite(_study(self.RANK), pool,
-                                           use_cache=False))
+                _bounded(lambda: run_suite(_study(self.RANK), pool))
             if workers == 1:
                 # The shared inline pool runs the next suite.
                 monkeypatch.undo()
                 results = _bounded(lambda: run_suite(
-                    _study(self.RANK), pool, use_cache=False))
+                    _study(self.RANK), pool))
                 assert len(results) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -509,7 +496,7 @@ class TestStagePaths:
                 ("baseline", "demand-surge", "machine-outage")))]
         with SharedWorkerPool(workers) as pool:
             with pytest.raises(RuntimeError, match="worker blew up"):
-                _bounded(lambda: run_suite(studies, pool, use_cache=False))
+                _bounded(lambda: run_suite(studies, pool))
         if workers == 1:
             # The inline pool ran the first study's only synthesis shard;
             # no later study was started after it failed.
@@ -527,8 +514,7 @@ class TestStagePaths:
         key = config_fingerprint(base_config)
         with SharedWorkerPool(workers) as pool:
             with pytest.raises(WorkloadError, match=key) as caught:
-                _bounded(lambda: run_suite(_study(base_config), pool,
-                                           use_cache=False))
+                _bounded(lambda: run_suite(_study(base_config), pool))
         assert isinstance(caught.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -539,8 +525,7 @@ class TestStagePaths:
         config = scenario.apply_to(
             TraceGeneratorConfig(total_jobs=30, months=2, seed=7))
         with SharedWorkerPool(workers) as pool:
-            results = _bounded(lambda: run_suite(_study(config), pool,
-                                                 use_cache=False))
+            results = _bounded(lambda: run_suite(_study(config), pool))
         (result,) = results.values()
         assert len(result.trace) == 0
         assert result.group_sizes == []

@@ -91,12 +91,12 @@ class TestGoldenByteIdentity:
             self, tracer, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
 
-        result_off = run_study(config=config, workers=1, use_cache=False)
+        result_off = run_study(config=config, workers=1)
         off_path = tmp_path / "off.npz"
         result_off.trace.save(off_path)
 
         tracer.enable()
-        result_on = run_study(config=config, workers=1, use_cache=False)
+        result_on = run_study(config=config, workers=1)
         tracer.disable()
         on_path = tmp_path / "on.npz"
         result_on.trace.save(on_path)
@@ -109,11 +109,11 @@ class TestGoldenByteIdentity:
         config = TraceGeneratorConfig(**CONFIG)
         key = config_fingerprint(config)
 
-        result = run_study(config=config, workers=1, use_cache=False)
+        result = run_study(config=config, workers=1)
         TraceCache(tmp_path / "off").put(key, result.trace)
 
         tracer.enable()
-        result = run_study(config=config, workers=1, use_cache=False)
+        result = run_study(config=config, workers=1)
         TraceCache(tmp_path / "on").put(key, result.trace)
         tracer.disable()
 
@@ -197,7 +197,7 @@ class TestRegistry:
         registry = get_registry()
         config = TraceGeneratorConfig(**CONFIG)
         before = registry.value("repro_sim_jobs_total", engine="batched")
-        run_study(config=config, workers=1, use_cache=False)
+        run_study(config=config, workers=1)
         after = registry.value("repro_sim_jobs_total", engine="batched")
         assert after >= before + 100  # ~120 planned jobs, some dropped
 
@@ -247,7 +247,7 @@ class TestRegistryStaysFlat:
 
         trace = run_study(config=TraceGeneratorConfig(total_jobs=40,
                                                       months=2, seed=5),
-                          workers=1, use_cache=False).trace
+                          workers=1).trace
         records = list(trace.records)
 
         def chunked():
@@ -289,8 +289,7 @@ class TestExposition:
     def test_counters_monotonic_across_scrapes(self):
         registry = get_registry()
         first = parse_prometheus_text(render_prometheus(registry))
-        run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
-                  use_cache=False)
+        run_study(config=TraceGeneratorConfig(**CONFIG), workers=1)
         second = parse_prometheus_text(render_prometheus(registry))
         for name, series in first.items():
             if not name.endswith("_total"):
@@ -321,7 +320,7 @@ class TestSpanTrees:
             with SharedWorkerPool(2) as pool:
                 run_suite([(config_fingerprint(config), config)
                            for config in configs],
-                          pool, num_shards=2, use_cache=False)
+                          pool, num_shards=2)
             spans = tracer.spans()
         finally:
             tracer.disable()
@@ -441,11 +440,9 @@ class TestSpanTrees:
 class TestCacheHitPhases:
     def test_cache_hit_reports_zero_phase_timings(self, tracer, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
-        run_study(config=config, workers=1, cache_dir=tmp_path,
-                  use_cache=True)
+        run_study(config=config, workers=1, cache_dir=tmp_path)
         tracer.enable()
-        result = run_study(config=config, workers=1, cache_dir=tmp_path,
-                           use_cache=True)
+        result = run_study(config=config, workers=1, cache_dir=tmp_path)
         tracer.disable()
         assert result.metadata.get("cache_hit") is True
         timings = result.timings

@@ -341,12 +341,14 @@ class TestRankStudyDeterminism:
 
     def test_cache_off_and_sharded_are_byte_identical(self, reference):
         _, cold = reference
-        for workers, shards, transpile_workers in ((1, 3, 2), (2, 1, 3)):
+        for workers, shards in ((1, 2), (2, 3)):
+            events = []
             rerun = run_study(config=_rank_config(), workers=workers,
-                              num_shards=shards,
-                              transpile_workers=transpile_workers,
-                              use_cache=False)
+                              num_shards=shards, on_event=events.append)
             assert _trace_bytes(rerun) == _trace_bytes(cold)
+            # The transpile stage fans out to the synthesis shard count.
+            assert [event.detail["shards"] for event in events
+                    if event.kind == "transpile-queued"] == [shards]
 
     def test_rank_policy_lands_in_the_trace(self, reference):
         _, result = reference
@@ -360,8 +362,7 @@ class TestTranspileSpans:
         tracer = Tracer(enabled=True)
         previous = set_tracer(tracer)
         try:
-            run_study(config=_rank_config(jobs=20, months=1), workers=1,
-                      use_cache=False)
+            run_study(config=_rank_config(jobs=20, months=1), workers=1)
         finally:
             set_tracer(previous)
         spans = tracer.spans()
