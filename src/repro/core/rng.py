@@ -5,15 +5,18 @@ calibration drift, and the stochastic transpiler passes must all be exactly
 repeatable from a single seed.  :class:`RandomSource` wraps
 ``numpy.random.Generator`` and supports deterministic child-stream derivation
 so independent subsystems do not perturb each other's streams.  Where a hot
-path needs many child streams for one draw each, :func:`seed_words` seeds
-them all in one vectorised pass.
+path needs many streams, :func:`seed_words` seeds them all in one
+vectorised pass, and :meth:`RandomSource.spawn_many` builds a batch of
+spawned streams that way.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import math
-from typing import Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -33,6 +36,23 @@ def derive_seed(base_seed: int, *names: object) -> int:
         digest.update(b"/")
         digest.update(str(name).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "little")
+
+
+def derive_seeds(base_seed: int, names: Sequence[object],
+                 keys: Iterable[object]) -> List[int]:
+    """``[derive_seed(base_seed, *names, key) for key in keys]``.
+
+    The path shared by every key is hashed once; each key then costs one
+    copy of that SHA-256 state and one update.
+    """
+    prefix = hashlib.sha256("/".join(
+        [str(int(base_seed)), *map(str, names), ""]).encode("utf-8"))
+    seeds = []
+    for key in keys:
+        digest = prefix.copy()
+        digest.update(str(key).encode("utf-8"))
+        seeds.append(int.from_bytes(digest.digest()[:8], "little"))
+    return seeds
 
 
 # The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -122,6 +142,53 @@ def generator_from_words(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(SeedWords(words)))
 
 
+#: ``Generator.choice``'s tolerance on the sum of float64 weights.
+_WEIGHT_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+#: Distinct weight vectors whose CDF :func:`_weight_cdf` keeps.
+WEIGHT_CDF_MEMO = 512
+
+
+def _kahan_sum(values: Sequence[float]) -> float:
+    """The compensated sum ``Generator.choice`` checks weights with."""
+    total = values[0]
+    carry = 0.0
+    for value in values[1:]:
+        term = value - carry
+        partial = total + term
+        carry = (partial - total) - term
+        total = partial
+    return total
+
+
+@functools.lru_cache(maxsize=WEIGHT_CDF_MEMO)
+def _weight_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, checked as it
+    checks ``p``.
+
+    NumPy rejects weights that are not one-dimensional, whose Kahan sum is
+    NaN, that hold a negative entry, or whose Kahan sum is off 1 by more
+    than ``sqrt(eps)``, with these ``ValueError`` messages, and then
+    searches ``cumsum(p) / cumsum(p)[-1]``.  The CDF is returned as a
+    tuple, so a memoised one cannot be changed; weights that fail a check
+    raise on every call.
+    """
+    p = np.array(weights, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    total = _kahan_sum(p.tolist())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1. See Notes section "
+                         "of docstring for more information.")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
 class RandomSource:
     """A named, seedable random stream with deterministic child streams."""
 
@@ -181,6 +248,42 @@ class RandomSource:
         """
         return RandomSource(self.spawn_seed(key), name=f"{self.name}#{key}")
 
+    def spawn_many(self, keys: Sequence[object], lane: object, lanes: int
+                   ) -> Tuple[List["RandomSource"], np.ndarray]:
+        """``[self.spawn(key) for key in keys]``, plus the seed words of the
+        first ``lanes`` children ``child(lane, i)`` of each of those streams.
+
+        Every seed comes from its shared SHA-256 prefix (:func:`derive_seeds`)
+        and all of them are mixed in one :func:`seed_words` pass; each
+        stream's generator is built from its row, so no ``SeedSequence``
+        is made.  The streams draw exactly what ``spawn`` streams draw.
+        Returns the streams and a ``(len(keys), lanes, 4)`` array whose row
+        ``[j, i]`` seeds ``self.spawn(keys[j]).child(lane, i)``.
+        """
+        keys = list(keys)
+        base = self._seed if self._seed is not None else 0
+        seeds = derive_seeds(base, (self.name, "#spawn"), keys)
+        names = [f"{self.name}#{key}" for key in keys]
+        lane_seeds = [seed for spawned, name in zip(seeds, names)
+                      for seed in derive_seeds(spawned, (name, lane),
+                                               range(lanes))]
+        words = seed_words(seeds + lane_seeds)
+        streams = [RandomSource._from_words(seed, name, row)
+                   for seed, name, row in zip(seeds, names, words)]
+        return streams, words[len(keys):].reshape(
+            len(keys), lanes, _PCG64_WORDS)
+
+    @classmethod
+    def _from_words(cls, seed: int, name: str,
+                    words: np.ndarray) -> "RandomSource":
+        """``RandomSource(seed, name)``, given the :func:`seed_words` row
+        of ``seed``."""
+        source = cls.__new__(cls)
+        source._seed = seed
+        source.name = name
+        source._generator = generator_from_words(words)
+        return source
+
     # -- thin convenience wrappers -------------------------------------------------
 
     def random(self) -> float:
@@ -203,9 +306,30 @@ class RandomSource:
         return float(self._generator.exponential(scale))
 
     def choice(self, options: Sequence, p: Optional[Sequence[float]] = None):
-        """Choose one element of ``options`` (optionally weighted)."""
-        index = self._generator.choice(len(options), p=p)
-        return options[int(index)]
+        """Choose one element of ``options`` (optionally weighted).
+
+        The pick, and every later draw of the stream, equals
+        ``Generator.choice(len(options), p=p)``'s, without NumPy's per-call
+        argument handling: an unweighted pick is ``integers(0, n)``, and a
+        weighted one is a ``random()`` draw searched, ``side="right"``, in
+        the CDF :func:`_weight_cdf` checks and builds once per distinct
+        weight vector.  It raises NumPy's ``ValueError`` for empty
+        ``options`` and for weights of the wrong length or that fail
+        NumPy's checks.  A NumPy array of weights, whose dtype sets NumPy's
+        tolerance, is handed to ``Generator.choice`` itself.
+        """
+        size = len(options)
+        if not size:
+            raise ValueError("a must be a positive integer unless no "
+                             "samples are taken")
+        if p is None:
+            return options[int(self._generator.integers(0, size))]
+        if isinstance(p, np.ndarray):
+            return options[int(self._generator.choice(size, p=p))]
+        if len(p) != size:
+            raise ValueError("a and p must have same size")
+        cdf = _weight_cdf(tuple(p))
+        return options[bisect.bisect_right(cdf, self._generator.random())]
 
     def shuffle(self, items: list) -> None:
         """Shuffle ``items`` in place."""

@@ -6,7 +6,8 @@
 * :mod:`repro.prediction.runtime_model` — the product-of-linear-terms model
   ``prod(a_i + b_i * x_i)`` fitted with ``scipy.optimize.curve_fit``, the
   70/30 train/test split, and the per-machine Pearson correlations of
-  Fig. 15 / per-job traces of Fig. 16.
+  Fig. 15 / per-job traces of Fig. 16.  scipy is imported on the first
+  fit, so importing this package loads none.
 * :mod:`repro.prediction.queue_model` — a queue-wait estimator implementing
   the paper's recommendation that queue-time prediction is worth pursuing.
 """

@@ -6,6 +6,10 @@ over the selected features, fitted per machine with
 the Pearson correlation between predicted and actual runtimes on the test
 split (Fig. 15).  Fig. 16's per-job predicted-vs-actual traces come from the
 same fitted models.
+
+``scipy`` is imported by the first :meth:`ProductLinearModel.fit`, not with
+this module: ``import repro`` and the commands that never fit a model
+(``figures``, ``run-scenarios``) load no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.analysis.stats import pearson_correlation
 from repro.core.exceptions import PredictionError
@@ -76,6 +79,8 @@ class ProductLinearModel:
 
     def fit(self, x: np.ndarray, y: np.ndarray, max_evaluations: int = 20000
             ) -> "ProductLinearModel":
+        from scipy.optimize import curve_fit
+
         if x.ndim != 2 or x.shape[1] != len(self.features):
             raise PredictionError(
                 f"feature matrix must have {len(self.features)} columns"

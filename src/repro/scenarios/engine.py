@@ -17,20 +17,29 @@ suite, by a plain ``run-study``, or by an identical sibling scenario — is
 served from the trace cache instead of being re-simulated.  A hit is read
 the way a plain study's is: a ``.npz`` entry whole, chunked under the
 memory budget, so it outlives a later prune of its entry.
+
+Each ``study-done`` and ``cache-hit`` event the suite reports names, in its
+``scenarios`` detail, the scenarios of that fingerprint, so a progress
+consumer labels partial results without fingerprinting a scenario again.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.exceptions import ScenarioError
 from repro.devices.backend import Backend
 from repro.runner.cache import TraceCache, config_fingerprint
-from repro.runner.executor import EventCallback, StudyResult, run_suite
+from repro.runner.executor import (
+    EventCallback,
+    StudyResult,
+    SuiteEvent,
+    run_suite,
+)
 from repro.runner.pool import SharedWorkerPool
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.sweep import expand_sweeps
@@ -151,7 +160,8 @@ def run_scenarios(
     directory or a :class:`~repro.runner.cache.TraceCache`; without one
     nothing is cached.  ``on_event`` and ``should_stop`` are
     :func:`~repro.runner.executor.run_suite`'s progress stream and
-    cancel hook.
+    cancel hook; a ``study-done`` or ``cache-hit`` event carries the names
+    of its fingerprint's scenarios as its ``scenarios`` detail.
     """
     started = time.perf_counter()
     base_config = base_config or TraceGeneratorConfig()
@@ -166,24 +176,32 @@ def run_scenarios(
                   for scenario in scenarios
                   for config in (scenario.apply_to(base_config),)]
     distinct: Dict[str, TraceGeneratorConfig] = {}
-    first_names: Dict[str, str] = {}
+    names_by_key: Dict[str, List[str]] = {}
     for scenario, config, key in expansions:
         distinct.setdefault(key, config)
-        first_names.setdefault(key, scenario.name)
+        names_by_key.setdefault(key, []).append(scenario.name)
+
+    def labelled(event: SuiteEvent) -> None:
+        if event.kind in ("study-done", "cache-hit") \
+                and event.key in names_by_key:
+            event = replace(event, detail={
+                **event.detail, "scenarios": list(names_by_key[event.key])})
+        on_event(event)
 
     with (nullcontext(pool) if pool is not None
           else SharedWorkerPool(workers)) as active:
         results = run_suite(list(distinct.items()), active,
                             num_shards=num_shards, cache=cache_dir,
-                            on_event=on_event, should_stop=should_stop)
+                            on_event=None if on_event is None else labelled,
+                            should_stop=should_stop)
 
     suite = ScenarioSuiteResult(base_config=base_config)
     for scenario, config, key in expansions:
+        first_name = names_by_key[key][0]
         suite.runs.append(ScenarioRun(
             scenario=scenario, config=config, fingerprint=key,
             result=results[key],
-            deduplicated_from=(first_names[key]
-                               if first_names[key] != scenario.name
+            deduplicated_from=(first_name if first_name != scenario.name
                                else None)))
     suite.total_seconds = time.perf_counter() - started
     return suite

@@ -44,7 +44,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
 from repro.analysis.compare import compare_suite
-from repro.runner.cache import config_fingerprint
 from repro.runner.executor import SuiteCancelled, SuiteEvent
 from repro.runner.pool import SharedWorkerPool
 from repro.scenarios import resolve_submission, run_scenarios
@@ -152,25 +151,20 @@ class StudyService:
             self.registry.finish(job, CANCELLED)
             return
 
-        # Fingerprint → scenario names, so shard events and partial
-        # results can be labelled for the stream while the suite runs.
-        names_by_fingerprint: Dict[str, List[str]] = {}
-        for scenario in scenarios:
-            fingerprint = config_fingerprint(scenario.apply_to(base))
-            names_by_fingerprint.setdefault(fingerprint,
-                                            []).append(scenario.name)
-
+        # run_scenarios names the scenarios of each finished study, so
+        # partial results are labelled for the stream while the suite runs;
+        # the names leave the progress event, whose bytes stay as they were.
         def forward(event: SuiteEvent) -> None:
             detail = event.as_dict()
             kind = detail.pop("kind")
+            names = detail.pop("scenarios", ())
             job.emit("progress", kind=kind, **detail)
-            if kind in ("study-done", "cache-hit") and event.key is not None:
-                for name in names_by_fingerprint.get(event.key, ()):
-                    job.emit("scenario-done", scenario=name,
-                             fingerprint=event.key,
-                             cache_hit=(kind == "cache-hit"),
-                             **{k: v for k, v in detail.items()
-                                if k in ("jobs", "seconds")})
+            for name in names:
+                job.emit("scenario-done", scenario=name,
+                         fingerprint=event.key,
+                         cache_hit=(kind == "cache-hit"),
+                         **{k: v for k, v in detail.items()
+                            if k in ("jobs", "seconds")})
 
         cache = (self.store.cache if job.payload.get("use_cache", True)
                  else None)

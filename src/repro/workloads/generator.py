@@ -33,7 +33,7 @@ from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.job import CircuitBatch, Job
 from repro.cloud.service import FailureModel
 from repro.core.exceptions import WorkloadError
-from repro.core.rng import RandomSource, generator_from_words, seed_words
+from repro.core.rng import RandomSource, generator_from_words
 from repro.core.units import DAY_SECONDS
 from repro.devices.backend import Backend
 from repro.devices.calibration import DriftModel
@@ -331,8 +331,9 @@ def plan_submissions(config: TraceGeneratorConfig) -> List[PlannedSubmission]:
 #: Circuits per job, from the first, that carry a jittered metric variant.
 JITTERED_CIRCUITS = 16
 
-#: Submissions whose circuit-jitter streams :meth:`JobSynthesizer.
-#: synthesise_many` seeds in one vectorised :func:`seed_words` pass.
+#: Submissions whose job streams and circuit-jitter streams
+#: :meth:`JobSynthesizer.synthesise_many` seeds in one vectorised
+#: :func:`~repro.core.rng.seed_words` pass.
 SYNTHESIS_CHUNK = 1024
 
 #: Lower bounds of the jittered (depth, gates, cx, cx_depth) metrics, as
@@ -398,6 +399,7 @@ class JobSynthesizer:
         self.fleet = fleet
         self._root = RandomSource(config.seed, name="trace_generator")
         self._pending = expected_pending_estimator(fleet)
+        self._eligible: Dict[Tuple[int, int, bool], Tuple[Backend, ...]] = {}
         scenario = config.scenario
         if rank_table is None and scenario is not None \
                 and scenario.ranking_objective is not None:
@@ -443,16 +445,18 @@ class JobSynthesizer:
                             variants)
 
     def _eligible_backends(self, month: int, width: int,
-                           privileged: bool) -> List[Backend]:
-        eligible = []
-        for backend in self.fleet.values():
-            if not backend.is_online_in_month(month):
-                continue
-            if backend.num_qubits < width:
-                continue
-            if not backend.is_public and not privileged:
-                continue
-            eligible.append(backend)
+                           privileged: bool) -> Tuple[Backend, ...]:
+        """The fleet's machines a job of this month, width and access may
+        run on, in fleet order; memoised per ``(month, width,
+        privileged)``."""
+        key = (month, width, privileged)
+        eligible = self._eligible.get(key)
+        if eligible is None:
+            eligible = self._eligible[key] = tuple(
+                backend for backend in self.fleet.values()
+                if backend.is_online_in_month(month)
+                and backend.num_qubits >= width
+                and (backend.is_public or privileged))
         return eligible
 
     def _draw_prefix(self, planned: PlannedSubmission, rng: RandomSource):
@@ -519,23 +523,21 @@ class JobSynthesizer:
                         ) -> List[Optional[Job]]:
         """Build the job of every planned submission, in plan order.
 
-        The circuit-jitter streams of each chunk of
-        :data:`SYNTHESIS_CHUNK` submissions are seeded together: the chunk
-        derives every job's ``child_seed("circuit", i)`` for the first
-        :data:`JITTERED_CIRCUITS` indices and mixes them in one
-        :func:`seed_words` call, so no jitter stream is a
+        The streams of each chunk of :data:`SYNTHESIS_CHUNK` submissions
+        are seeded together by :meth:`~repro.core.rng.RandomSource.
+        spawn_many`: every job's ``spawn(job_index)`` stream and the
+        ``child_seed("circuit", i)`` seeds of its first
+        :data:`JITTERED_CIRCUITS` circuits, mixed in one
+        :func:`~repro.core.rng.seed_words` call, so no jitter stream is a
         :class:`RandomSource` of its own.  The jobs equal those of one
         :meth:`synthesise` call each.
         """
         jobs: List[Optional[Job]] = []
         for start in range(0, len(plans), SYNTHESIS_CHUNK):
             chunk = plans[start:start + SYNTHESIS_CHUNK]
-            streams = [self._root.spawn(planned.job_index)
-                       for planned in chunk]
-            words = seed_words([
-                rng.child_seed("circuit", index)
-                for rng in streams for index in range(JITTERED_CIRCUITS)
-            ]).reshape(len(chunk), JITTERED_CIRCUITS, -1)
+            streams, words = self._root.spawn_many(
+                [planned.job_index for planned in chunk],
+                "circuit", JITTERED_CIRCUITS)
             jobs.extend(map(self._synthesise, chunk, streams, words))
         return jobs
 

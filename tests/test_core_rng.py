@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.rng import (
+    WEIGHT_CDF_MEMO,
     RandomSource,
     SeedWords,
+    _weight_cdf,
     derive_seed,
+    derive_seeds,
     generator_from_words,
     seed_words,
 )
@@ -25,6 +28,15 @@ class TestDeriveSeed:
 
     def test_sensitive_to_base(self):
         assert derive_seed(1, "x") != derive_seed(2, "x")
+
+    def test_many_keys_hash_the_shared_prefix_once(self):
+        for base in EDGE_SEEDS:
+            for names in ((), ("trace_generator", "#spawn"),
+                          ("trace_generator#12", "circuit")):
+                keys = [0, 7, 15, "x", 1024]
+                assert derive_seeds(base, names, keys) \
+                    == [derive_seed(base, *names, key) for key in keys]
+        assert derive_seeds(3, ("a",), []) == []
 
 
 class TestRandomSource:
@@ -97,6 +109,122 @@ class TestRandomSource:
         assert alias.name == "orig"
         # The alias shares the generator object.
         assert alias.generator is original.generator
+
+
+def _numpy_choice(seed, size, p=None):
+    """NumPy's own pick and the next draw of the same stream."""
+    generator = np.random.default_rng(seed)
+    index = int(generator.choice(size, p=p))
+    return index, generator.random()
+
+
+def _source_choice(seed, size, p=None):
+    """RandomSource's pick and the next draw of the same stream."""
+    source = RandomSource(seed)
+    index = source.choice(list(range(size)), p=p)
+    return index, source.random()
+
+
+#: Weight vectors that fail NumPy's checks in ``Generator.choice(2, p=p)``.
+INVALID_WEIGHTS = [
+    [-0.1, 1.1],                    # negative
+    [float("nan"), 1.0],            # NaN
+    [float("inf"), 0.0],            # an infinite Kahan sum reads as NaN
+    [0.5, 0.5, 0.0],                # wrong length
+    [0.5, 0.5 + 1e-6],              # off 1 by 1e-6
+    [0.5, 0.5 - 1e-6],
+    [0.0, 0.0],
+]
+
+
+class TestChoice:
+    """RandomSource.choice picks, and leaves its stream, exactly as
+    ``Generator.choice(len(options), p=p)`` does."""
+
+    def test_unweighted_pick_is_numpys(self):
+        for seed in range(300):
+            for size in (1, 2, 3, 5, 7, 10, 27, 100, 2 ** 33 + 5):
+                generator = np.random.default_rng(seed)
+                source = RandomSource(seed)
+                assert source.choice(range(size)) \
+                    == int(generator.choice(size))
+                assert source.random() == generator.random()
+
+    def test_weighted_pick_is_numpys(self):
+        weights = [0.02, 0.04, 0.07, 0.20, 0.16, 0.15, 0.36]
+        for seed in range(200):
+            assert _source_choice(seed, 7, weights) \
+                == _numpy_choice(seed, 7, weights)
+
+    def test_a_draw_on_a_cdf_step_searches_right(self):
+        # Weights whose CDF steps exactly at the stream's first draw: NumPy
+        # searches side="right", past the zero weight.
+        for seed in range(20):
+            draw = np.random.default_rng(seed).random()
+            for weights in ([draw, 1 - draw], [draw, 0.0, 1 - draw]):
+                assert _weight_cdf(tuple(weights))[0] == draw
+                assert _source_choice(seed, len(weights), weights) \
+                    == _numpy_choice(seed, len(weights), weights)
+                assert _source_choice(seed, len(weights), weights)[0] \
+                    == len(weights) - 1
+
+    def test_a_zero_weight_is_never_picked(self):
+        source = RandomSource(4)
+        picks = {source.choice("abc", p=[0.5, 0.0, 0.5]) for _ in range(500)}
+        assert picks == {"a", "c"}
+
+    @pytest.mark.parametrize("weights", INVALID_WEIGHTS)
+    def test_invalid_weights_raise_numpys_error(self, weights):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(0).choice(2, p=weights)
+        for _ in range(2):  # a rejected vector is not memoised
+            with pytest.raises(ValueError) as error:
+                RandomSource(0).choice(["a", "b"], p=weights)
+            assert str(error.value) == str(numpy_error.value)
+
+    def test_empty_options_raise(self):
+        for weights in (None, []):
+            with pytest.raises(ValueError):
+                RandomSource(0).choice([], p=weights)
+
+    def test_array_weights_keep_numpys_tolerance(self):
+        # A float32 array widens NumPy's tolerance past float64's.
+        weights = np.array([0.5, 0.5000001], dtype=np.float32)
+        for seed in range(20):
+            assert _source_choice(seed, 2, weights) \
+                == _numpy_choice(seed, 2, weights)
+        with pytest.raises(ValueError):
+            RandomSource(0).choice(["a", "b"], p=weights.tolist())
+
+    def test_the_cdf_memo_is_bounded_and_immutable(self):
+        assert _weight_cdf.cache_info().maxsize == WEIGHT_CDF_MEMO
+        cdf = _weight_cdf((0.25, 0.0, 0.75))
+        assert cdf == (0.25, 0.25, 1.0)
+        assert isinstance(cdf, tuple)
+        assert _weight_cdf((0.25, 0.0, 0.75)) is cdf
+
+
+class TestSpawnMany:
+    def test_streams_and_lane_words_match_spawn_and_child(self):
+        keys = [0, 5, 3, 1023, 1024]
+        for seed in EDGE_SEEDS:
+            root = RandomSource(seed, name="trace_generator")
+            streams, words = root.spawn_many(keys, "circuit", 4)
+            assert words.shape == (len(keys), 4, 4)
+            for key, stream, lanes in zip(keys, streams, words):
+                spawned = root.spawn(key)
+                assert (stream.seed, stream.name) \
+                    == (spawned.seed, spawned.name)
+                assert stream.generator.random(4).tolist() \
+                    == spawned.generator.random(4).tolist()
+                for lane, row in enumerate(lanes):
+                    child = spawned.child("circuit", lane)
+                    assert row.tolist() == np.random.SeedSequence(
+                        child.seed).generate_state(4, np.uint64).tolist()
+
+    def test_no_keys(self):
+        streams, words = RandomSource(1).spawn_many([], "circuit", 16)
+        assert streams == [] and words.shape == (0, 16, 4)
 
 
 class TestSeedWords:

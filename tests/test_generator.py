@@ -7,7 +7,7 @@ import pytest
 
 from repro.cloud.job import CircuitBatch, Job
 from repro.core.exceptions import WorkloadError
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, SeedWords
 from repro.core.types import JobStatus
 from repro.runner import run_study
 from repro.runner.sharding import plan_shards
@@ -139,19 +139,50 @@ class TestSynthesiseMany:
         plan = plan_submissions(config)
         synthesizer = JobSynthesizer(config, config.build_fleet())
         synthesizer.synthesise_many(plan)  # warms the memo caches
-        constructed = []
-        original = RandomSource.__init__
+        root = RandomSource(config.seed, name="trace_generator")
+        built = []
+        from_words = RandomSource._from_words.__func__
 
-        def counting(self, *args, **kwargs):
-            constructed.append(1)
-            original(self, *args, **kwargs)
+        def counting(cls, *args):
+            built.append(from_words(cls, *args))
+            return built[-1]
 
-        monkeypatch.setattr(RandomSource, "__init__", counting)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a stream seeded through a SeedSequence")
+
+        monkeypatch.setattr(RandomSource, "_from_words", classmethod(counting))
+        monkeypatch.setattr(RandomSource, "__init__", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
         jobs = synthesizer.synthesise_many(plan)
-        # One spawned stream per job; the jittered circuits (the per-job
-        # path built one stream each) build none.
+        # Exactly one stream object per job, each seeded from its seed
+        # words rather than a SeedSequence; the jittered circuits (the
+        # per-job path built one stream each) build none.
         assert sum(min(len(job.circuits), 16) for job in jobs) > len(plan)
-        assert len(constructed) == len(plan)
+        assert len({id(stream) for stream in built}) == len(built) \
+            == len(plan)
+        for planned, stream in zip(plan, built):
+            assert stream.seed == root.spawn_seed(planned.job_index)
+            assert isinstance(stream.generator.bit_generator.seed_seq,
+                              SeedWords)
+
+
+    def test_eligibility_is_memoised_as_a_tuple(self):
+        config = TraceGeneratorConfig(total_jobs=50, months=28, seed=7)
+        synthesizer = JobSynthesizer(config, config.build_fleet())
+        for month in (0, 9, 27):
+            for width in (1, 5, 16, 27, 65):
+                for privileged in (False, True):
+                    eligible = synthesizer._eligible_backends(
+                        month, width, privileged)
+                    assert isinstance(eligible, tuple)
+                    assert eligible is synthesizer._eligible_backends(
+                        month, width, privileged)
+                    assert list(eligible) == [
+                        backend for backend in synthesizer.fleet.values()
+                        if backend.is_online_in_month(month)
+                        and backend.num_qubits >= width
+                        and (backend.is_public or privileged)]
 
 
 class _FirstMachineTable(ClassRankTable):

@@ -1,13 +1,14 @@
 """The declared runtime dependencies cover what the package imports."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-
 
 def declared_dependencies():
     """Project names in ``[project].dependencies`` of ``pyproject.toml``."""
@@ -18,20 +19,59 @@ def declared_dependencies():
             for item in re.findall(r'"([^"]+)"', match.group(1))}
 
 
-def module_level_imports(path):
-    """Top-level packages imported at module level (not inside functions,
-    where optional dependencies such as ``pyarrow`` are gated)."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+def _names(node):
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
 
 
-def test_every_module_level_import_is_declared():
-    third_party = {name for path in PACKAGE.rglob("*.py")
-                   for name in module_level_imports(path)
+def _handles_import_error(try_node):
+    caught = set()
+    for handler in try_node.handlers:
+        types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+                 else [handler.type])
+        caught.update(getattr(kind, "id", None) for kind in types)
+    return bool(caught & {"ImportError", "ModuleNotFoundError"})
+
+
+def imports(path):
+    """``(imported, gated)``: the top-level packages a module imports, at
+    module level or inside functions (where ``scipy`` is imported on first
+    use), and those imported in a ``try`` that handles ``ImportError``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set().union(*map(_names, ast.walk(tree)))
+    gated = set().union(*(
+        _names(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.Try) and _handles_import_error(node)
+        for statement in node.body for inner in ast.walk(statement)))
+    return imported, gated
+
+
+def test_every_import_is_declared():
+    imported, gated = set(), set()
+    for path in PACKAGE.rglob("*.py"):
+        module_imported, module_gated = imports(path)
+        imported |= module_imported
+        gated |= module_gated
+    third_party = {name for name in imported
                    if name not in sys.stdlib_module_names
                    and name not in ("repro", "__future__")}
     assert third_party >= {"numpy", "networkx", "scipy"}
-    assert third_party <= declared_dependencies()
+    # The optional dependencies sit behind an ImportError handler: pyarrow
+    # for the Arrow/Parquet export, tomli for TOML specs before Python 3.11.
+    assert gated >= {"pyarrow", "tomli"}
+    assert third_party - gated <= declared_dependencies()
+
+
+def test_the_package_starts_without_scipy():
+    # scipy serves only the runtime model's fit, which imports it there.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.__main__; "
+         "print(sorted(name for name in sys.modules "
+         "if name.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"

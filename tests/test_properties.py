@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from repro.transpiler.passes import (
     StochasticSwap,
     Unroll3qOrMore,
 )
+from repro.workloads.distributions import FamilySampler, ShotsSampler
 from repro.workloads.generator import TraceGeneratorConfig
+from repro.workloads.users import default_user_population
 
 # Strategy: small random circuits described by a seed and size bounds.
 circuit_strategy = st.builds(
@@ -184,6 +187,92 @@ class TestLayoutProperties:
         assert sorted(layout.physical_qubits()) == sorted(permutation)
 
 
+def _normalised(weights):
+    """Weights as the synthesis path normalises them (``w / sum``)."""
+    total = sum(weights)
+    return [weight / total for weight in weights]
+
+
+@st.composite
+def weight_vectors(draw):
+    """Non-negative weights, zeros included, normalised and then scaled by
+    up to 1e-9, inside NumPy's sum tolerance."""
+    weights = draw(st.lists(st.one_of(
+        st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+        min_size=1, max_size=30).filter(any))
+    scale = draw(st.floats(min_value=1 - 1e-9, max_value=1 + 1e-9))
+    return [weight * scale for weight in _normalised(weights)]
+
+
+@st.composite
+def weight_vectors_near_invalid(draw):
+    """Weights around NumPy's checks: signed, NaN or infinite entries, and
+    sums across the ``sqrt(eps)`` tolerance."""
+    weights = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                            min_size=1, max_size=8))
+    weights = _normalised(weights)
+    scale = draw(st.floats(min_value=1 - 4e-8, max_value=1 + 4e-8))
+    weights = [weight * scale for weight in weights]
+    position = draw(st.integers(min_value=0, max_value=len(weights) - 1))
+    weights[position] = draw(st.one_of(
+        st.just(weights[position]), st.just(0.0), st.just(-0.0),
+        st.floats(allow_nan=True, allow_infinity=True)))
+    return weights
+
+
+class TestChoiceProperties:
+    """RandomSource.choice against ``Generator.choice(len(p), p=p)``: the
+    same index, and the same next draw, over drawn weights and seeds."""
+
+    @given(p=weight_vectors(), seed=st.integers(min_value=0,
+                                                max_value=2 ** 64 - 1))
+    @example(p=list(ShotsSampler().weights), seed=7)
+    @example(p=list(FamilySampler().weights), seed=7)
+    @example(p=_normalised([user.weight
+                            for user in default_user_population()]), seed=7)
+    @example(p=_normalised([6.0, 0.0, 2.0, 5.0, 0.8]), seed=7)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_weighted_pick_and_next_draw_are_numpys(self, p, seed):
+        source = RandomSource(seed)
+        generator = np.random.default_rng(seed)
+        options = list(range(len(p)))
+        for _ in range(5):
+            assert source.choice(options, p=p) \
+                == int(generator.choice(len(p), p=p))
+        assert source.random() == generator.random()
+
+    @given(p=weight_vectors_near_invalid(),
+           size_offset=st.sampled_from([0, 0, 0, 1, -1]))
+    @example(p=[-0.1, 1.1], size_offset=0)
+    @example(p=[float("nan"), 1.0], size_offset=0)
+    @example(p=[0.5, 0.5 + 1e-6], size_offset=0)
+    @example(p=[0.5, 0.5], size_offset=1)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_weights_numpy_rejects_are_rejected(self, p, size_offset):
+        size = len(p) + size_offset
+        if size < 1:
+            return
+        try:
+            expected = int(np.random.default_rng(3).choice(size, p=p))
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                RandomSource(3).choice(list(range(size)), p=p)
+        else:
+            assert RandomSource(3).choice(list(range(size)), p=p) \
+                == expected
+
+    @given(size=st.integers(min_value=1, max_value=2 ** 40),
+           seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+    @example(size=7, seed=0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_unweighted_pick_and_next_draw_are_numpys(self, size, seed):
+        source = RandomSource(seed)
+        generator = np.random.default_rng(seed)
+        for _ in range(3):
+            assert source.choice(range(size)) == int(generator.choice(size))
+        assert source.random() == generator.random()
+
+
 class TestRngProperties:
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),
            names=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=3))
@@ -206,6 +295,23 @@ class TestRngProperties:
     def test_seed_words_match_numpy_seed_sequence(self, seed):
         expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         assert seed_words([seed])[0].tolist() == expected.tolist()
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           keys=st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                         max_size=4))
+    @example(seed=2 ** 64 - 1, keys=[0, 1023, 1024])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_spawned_streams_and_lane_seeds_match_spawn(self, seed, keys):
+        root = RandomSource(seed, name="trace_generator")
+        streams, words = root.spawn_many(keys, "circuit", 16)
+        for key, stream, lanes in zip(keys, streams, words):
+            spawned = root.spawn(key)
+            assert (stream.seed, stream.name) == (spawned.seed, spawned.name)
+            assert stream.generator.random(3).tolist() \
+                == spawned.generator.random(3).tolist()
+            assert lanes.tolist() == seed_words([
+                spawned.child_seed("circuit", lane)
+                for lane in range(16)]).tolist()
 
 
 class TestUnitsAndStatsProperties:

@@ -320,6 +320,45 @@ class TestExecutorRobustness:
             service.stop()
 
 
+class TestScenarioLabels:
+    def test_a_job_fingerprints_each_scenario_once(self, tmp_path,
+                                                   monkeypatch):
+        """run_scenarios names the scenarios of each finished study, so the
+        gateway labels ``scenario-done`` without fingerprinting again."""
+        import sys
+
+        calls = []
+        real = config_fingerprint
+
+        def counting(config):
+            calls.append(config)
+            return real(config)
+
+        # Every binding the package holds, wherever it was imported.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "repro" \
+                    and getattr(module, "config_fingerprint", None) is real:
+                monkeypatch.setattr(module, "config_fingerprint", counting)
+        catalog = resolve_scenarios()
+        service = StudyService(
+            TraceGeneratorConfig(total_jobs=30, months=2, seed=3),
+            workers=1, cache_dir=tmp_path, executors=1)
+        with service:
+            job = service.registry.submit("acme", {"compare": False})
+            assert job.wait(timeout=120), "job stuck in " + job.state
+        assert job.state == "done", job.error
+        assert len(catalog) == 12
+        assert len(calls) == len(catalog)
+        labelled = [event for event in job.events
+                    if event["event"] == "scenario-done"]
+        assert [event["scenario"] for event in labelled] \
+            == [scenario.name for scenario in catalog]
+        assert {event["scenario"]: event["fingerprint"]
+                for event in labelled} == job.result["fingerprints"]
+        assert not any("scenarios" in event for event in job.events
+                       if event["event"] == "progress")
+
+
 class TestRegistrySemantics:
     """Quota, fairness and cancellation — deterministic, no executors."""
 
