@@ -11,9 +11,13 @@ telemetry the paper analyses.  It models:
   grows with batch size and shots (Figures 13-16),
 * daily calibration cycles and the compile-vs-run calibration crossover of
   Fig. 12.
+
+One engine, :mod:`repro.cloud.fastsim`, simulates the queues, backlog,
+execution and outcomes: the study runner sends it each machine's whole job
+block, and :class:`QuantumCloudService` one submission or clock step at a
+time.
 """
 
-from repro.cloud.events import Event, EventQueue
 from repro.cloud.job import (
     CircuitBatch,
     CircuitSpec,
@@ -23,15 +27,12 @@ from repro.cloud.job import (
 )
 from repro.cloud.execution_model import ExecutionTimeModel
 from repro.cloud.backlog import ExternalLoadModel, diurnal_factor
-from repro.cloud.queues import FairShareQueue, FifoQueue, QueuedEntry
 from repro.cloud.calibration_cycle import CalibrationCrossoverDetector
 from repro.cloud.dashboard import CloudDashboard, MachineStatus
 from repro.cloud.provider import Provider, DEFAULT_PROVIDERS
 from repro.cloud.service import QuantumCloudService
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "CircuitBatch",
     "CircuitSpec",
     "Job",
@@ -40,9 +41,6 @@ __all__ = [
     "ExecutionTimeModel",
     "ExternalLoadModel",
     "diurnal_factor",
-    "FairShareQueue",
-    "FifoQueue",
-    "QueuedEntry",
     "CalibrationCrossoverDetector",
     "CloudDashboard",
     "MachineStatus",

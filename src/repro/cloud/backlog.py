@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.exceptions import CloudError
-from repro.core.rng import BufferedDraws, RandomSource
+from repro.core.rng import RandomSource
 from repro.core.types import AccessLevel
 from repro.core.units import DAY_SECONDS, MINUTE_SECONDS
 from repro.devices.backend import Backend
@@ -35,9 +35,6 @@ from repro.devices.backend import Backend
 
 #: Scalar or float64 array of timestamps (the model is vectorised over time).
 TimeLike = Union[float, np.ndarray]
-
-#: A scalar draw source: a full random stream or block-buffered draws.
-DrawSource = Union[RandomSource, BufferedDraws]
 
 
 def diurnal_factor(timestamp: TimeLike) -> TimeLike:
@@ -141,7 +138,7 @@ class ExternalLoadModel:
         )
 
     def sample_pending_jobs(self, timestamp: float,
-                            rng: Optional[DrawSource] = None) -> int:
+                            rng: Optional[RandomSource] = None) -> int:
         """Sample an instantaneous pending-job count."""
         rng = rng or self._rng
         mean = self.mean_pending_jobs(timestamp)
@@ -156,7 +153,7 @@ class ExternalLoadModel:
         self,
         timestamp: float,
         access: AccessLevel = AccessLevel.PUBLIC,
-        rng: Optional[DrawSource] = None,
+        rng: Optional[RandomSource] = None,
     ) -> float:
         """Sample the external work (seconds) ahead of a new submission."""
         rng = rng or self._rng

@@ -17,18 +17,14 @@ width/depth.  A multiplicative lognormal jitter models run-to-run variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.cloud.job import CircuitBatch, Job
 from repro.core.exceptions import CloudError
-from repro.core.rng import BufferedDraws, RandomSource
+from repro.core.rng import RandomSource
 from repro.devices.backend import Backend
-
-#: A scalar draw source for the jitter: a full random stream or pre-drawn
-#: block-buffered draws (the simulation hot path uses the latter).
-DrawSource = Union[RandomSource, BufferedDraws]
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class ExecutionTimeModel:
     # -- stochastic simulation -------------------------------------------------------
 
     def simulate_seconds(self, job: Job, backend: Backend,
-                         rng: Optional[DrawSource] = None) -> float:
+                         rng: Optional[RandomSource] = None) -> float:
         """Run time with run-to-run jitter applied."""
         breakdown = self.expected_breakdown(job, backend)
         if rng is None or self.jitter_sigma == 0:

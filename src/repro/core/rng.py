@@ -338,66 +338,3 @@ class RandomSource:
     def __repr__(self) -> str:
         return f"RandomSource(name={self.name!r}, seed={self._seed!r})"
 
-
-class BufferedDraws:
-    """Block-buffered scalar draws for hot simulation loops.
-
-    Drawing variates one at a time through :class:`RandomSource` pays
-    numpy's fixed per-call dispatch cost on every draw; the discrete-event
-    simulator samples the external backlog once per submission and once per
-    dispatch, which makes those scalar draws a measurable fraction of the
-    event loop.  ``BufferedDraws`` pre-draws fixed-size blocks (one
-    vectorised generator call per block) from two dedicated child streams —
-    one for standard normals, one for uniforms — and serves them back one
-    value at a time.
-
-    Refills happen lazily, so the sequence of returned values is a pure
-    function of the source seed and the call sequence: the same per-machine
-    event order produces the same draws no matter how the fleet is sharded
-    across worker processes.
-    """
-
-    def __init__(self, source: RandomSource, block_size: int = 1024):
-        if block_size < 1:
-            raise ValueError("block_size must be at least 1")
-        self._normal_generator = source.child("normal").generator
-        self._uniform_generator = source.child("uniform").generator
-        self._block_size = int(block_size)
-        self._normals = np.empty(0)
-        self._normal_next = 0
-        self._uniforms = np.empty(0)
-        self._uniform_next = 0
-
-    def _next_normal(self) -> float:
-        if self._normal_next >= self._normals.shape[0]:
-            self._normals = self._normal_generator.standard_normal(
-                self._block_size)
-            self._normal_next = 0
-        value = self._normals[self._normal_next]
-        self._normal_next += 1
-        return float(value)
-
-    def _next_uniform(self) -> float:
-        if self._uniform_next >= self._uniforms.shape[0]:
-            self._uniforms = self._uniform_generator.random(self._block_size)
-            self._uniform_next = 0
-        value = self._uniforms[self._uniform_next]
-        self._uniform_next += 1
-        return float(value)
-
-    # -- the RandomSource sampling subset the backlog model consumes ---------------
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return loc + scale * self._next_normal()
-
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
-        # numpy's Generator.lognormal(mean, sigma) is exactly
-        # exp(mean + sigma * z) over the generator's normal stream, so this
-        # stays bit-identical to RandomSource.lognormal given the same z.
-        return math.exp(mean + sigma * self._next_normal())
-
-    def random(self) -> float:
-        return self._next_uniform()
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * self._next_uniform()

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.job import CircuitBatch, Job
-from repro.cloud.service import FailureModel
+from repro.cloud.fastsim import FailureModel
 from repro.core.exceptions import WorkloadError
 from repro.core.rng import RandomSource, generator_from_words
 from repro.core.units import DAY_SECONDS
@@ -466,7 +466,7 @@ class JobSynthesizer:
         privileged draw, the circuit shape, and the eligibility/shrink
         loop.  This is the part of :meth:`synthesise` whose outcome decides
         which transpile equivalence class the job probes, factored out so
-        :meth:`class_requirement` — the rank-mode transpile planner — and
+        :meth:`class_requirements` — the rank-mode transpile planner — and
         the synthesis path replay *the same code* and can never drift
         apart.  Returns ``None`` when nothing fits, else
         ``(user, privileged, family, width, eligible)`` with ``rng``
@@ -497,23 +497,29 @@ class JobSynthesizer:
                 return None
         return user, privileged, family, width, eligible
 
-    def class_requirement(
-            self, planned: PlannedSubmission
-    ) -> Optional[Tuple[str, int, Tuple[str, ...]]]:
-        """The transpile class one planned job will probe, without
-        synthesising it: ``(family, width, eligible machine names)``.
+    def class_requirements(
+            self, plans: Sequence[PlannedSubmission]
+    ) -> List[Optional[Tuple[str, int, Tuple[str, ...]]]]:
+        """The transpile class each planned job will probe, without
+        synthesising it: ``(family, width, eligible machine names)``, or
+        ``None`` where nothing fits.
 
         Used by the runner's rank-mode warm-up to enumerate exactly the
         (class, machine) transpiles the study needs.  Cheap: only the draw
-        prefix is replayed, and each job spawns a fresh stream, so probing
-        job ``i`` here never perturbs job ``i``'s synthesis.
+        prefix is replayed, on each job's own fresh stream (seeded by
+        chunk, as :meth:`synthesise_many` seeds them), so probing job ``i``
+        here never perturbs job ``i``'s synthesis.
         """
-        prefix = self._draw_prefix(planned,
-                                   self._root.spawn(planned.job_index))
-        if prefix is None:
-            return None
-        _, _, family, width, eligible = prefix
-        return family, width, tuple(b.name for b in eligible)
+        requirements = []
+        for planned, rng, _ in self._streams(plans, 0):
+            prefix = self._draw_prefix(planned, rng)
+            if prefix is None:
+                requirements.append(None)
+                continue
+            _, _, family, width, eligible = prefix
+            requirements.append(
+                (family, width, tuple(b.name for b in eligible)))
+        return requirements
 
     def synthesise(self, planned: PlannedSubmission) -> Optional[Job]:
         """Build the job for one planned submission (None if nothing fits)."""
@@ -523,23 +529,32 @@ class JobSynthesizer:
                         ) -> List[Optional[Job]]:
         """Build the job of every planned submission, in plan order.
 
+        Each job's ``spawn(job_index)`` stream and the
+        ``child_seed("circuit", i)`` seeds of its first
+        :data:`JITTERED_CIRCUITS` circuits come from :meth:`_streams`, so
+        no jitter stream is a :class:`RandomSource` of its own.  The jobs
+        equal those of one :meth:`synthesise` call each.
+        """
+        return [self._synthesise(planned, rng, words)
+                for planned, rng, words in self._streams(
+                    plans, JITTERED_CIRCUITS)]
+
+    def _streams(self, plans: Sequence[PlannedSubmission], lanes: int
+                 ) -> Iterator[Tuple[PlannedSubmission, RandomSource,
+                                     np.ndarray]]:
+        """``(planned, stream, lane words)`` of every planned submission.
+
         The streams of each chunk of :data:`SYNTHESIS_CHUNK` submissions
         are seeded together by :meth:`~repro.core.rng.RandomSource.
-        spawn_many`: every job's ``spawn(job_index)`` stream and the
-        ``child_seed("circuit", i)`` seeds of its first
-        :data:`JITTERED_CIRCUITS` circuits, mixed in one
-        :func:`~repro.core.rng.seed_words` call, so no jitter stream is a
-        :class:`RandomSource` of its own.  The jobs equal those of one
-        :meth:`synthesise` call each.
+        spawn_many`: every job's ``spawn(job_index)`` stream and the seed
+        words of its first ``lanes`` ``child("circuit", i)`` streams, mixed
+        in one :func:`~repro.core.rng.seed_words` call.
         """
-        jobs: List[Optional[Job]] = []
         for start in range(0, len(plans), SYNTHESIS_CHUNK):
             chunk = plans[start:start + SYNTHESIS_CHUNK]
             streams, words = self._root.spawn_many(
-                [planned.job_index for planned in chunk],
-                "circuit", JITTERED_CIRCUITS)
-            jobs.extend(map(self._synthesise, chunk, streams, words))
-        return jobs
+                [planned.job_index for planned in chunk], "circuit", lanes)
+            yield from zip(chunk, streams, words)
 
     def _synthesise(self, planned: PlannedSubmission, rng: RandomSource,
                     jitter_words: np.ndarray) -> Optional[Job]:
@@ -628,8 +643,8 @@ def plan_transpile_classes(
     pairs = set()
     probes = 0
     jobs = 0
-    for planned in plan_submissions(config):
-        requirement = synthesizer.class_requirement(planned)
+    for requirement in synthesizer.class_requirements(
+            plan_submissions(config)):
         if requirement is None:
             continue
         family, width, machines = requirement

@@ -7,10 +7,11 @@ import pytest
 
 import repro.workloads.trace as trace_module
 from repro.core.exceptions import TraceSchemaError, WorkloadError
-from repro.core.rng import BufferedDraws, RandomSource
+from repro.core.rng import RandomSource
 from repro.runner import TraceCache, run_study
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
+from eventloop import BufferedDraws
 
 CONFIG = dict(total_jobs=50, months=3, seed=17)
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.cloud.events import EventQueue
 from repro.cloud.job import CircuitSpec, Job
-from repro.cloud.queues import FairShareQueue, FifoQueue
 from repro.core.exceptions import CloudError
+from eventloop import EventQueue, FairShareQueue, FifoQueue
 
 
 def _job(provider: str, submit_time: float = 0.0, batch: int = 1) -> Job:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.cloud.job import CircuitBatch
-from repro.cloud.service import QuantumCloudService
 from repro.runner.cache import TraceCache, config_fingerprint
 from repro.workloads.generator import (
     JobSynthesizer,
@@ -19,6 +18,7 @@ from repro.workloads.generator import (
     record_for,
 )
 from repro.workloads.trace import TraceDataset
+from eventloop import EventLoopService as QuantumCloudService
 from figure_suite import trace_figure_suite
 from rowpath import (
     RowPathSynthesizer,

@@ -10,10 +10,11 @@ several workers and shards) and the scenario layer (every builtin catalog
 perturbation).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.fastsim import simulate_fleet
-from repro.cloud.service import QuantumCloudService
 from repro.core.types import JobStatus
 from repro.runner import run_study
 from repro.scenarios import builtin_scenarios, expand_sweeps
@@ -24,6 +25,8 @@ from repro.workloads.generator import (
     record_for,
 )
 from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
+from eventloop import EventLoopService as QuantumCloudService
+from tracediff import first_difference
 
 CONFIG = dict(total_jobs=90, months=3, seed=23)
 
@@ -128,7 +131,8 @@ def _assert_runner_matches_event_loop(config, tmp_path, workers, shards):
     reference_path = tmp_path / "event-loop.npz"
     result.trace.save(runner_path)
     _event_loop_trace(config).save(reference_path)
-    assert runner_path.read_bytes() == reference_path.read_bytes()
+    assert runner_path.read_bytes() == reference_path.read_bytes(), \
+        first_difference(runner_path, reference_path)
 
 
 def test_run_study_npz_bytes_identical(runner_config, tmp_path):
@@ -140,6 +144,22 @@ def test_worker_and_shard_counts_do_not_change_bytes(runner_config,
                                                      tmp_path):
     """Two workers, three shards: still the event loop's bytes."""
     _assert_runner_matches_event_loop(runner_config, tmp_path, 2, 3)
+
+
+def test_a_byte_mismatch_names_the_first_differing_job(runner_config,
+                                                        tmp_path):
+    """The goldens' failure message locates the difference."""
+    trace = _event_loop_trace(runner_config)
+    records = trace.records
+    moved = records[17]
+    records[17] = replace(moved, end_time=moved.end_time + 1.0)
+    original, nudged = tmp_path / "original.npz", tmp_path / "nudged.npz"
+    trace.save(original)
+    TraceDataset.from_records(records, metadata=trace.metadata).save(nudged)
+    assert first_difference(original, original) is None
+    assert first_difference(original, nudged) == (
+        f"first difference at row 17 (job_id {moved.job_id!r}): "
+        f"end_time {moved.end_time!r} != {moved.end_time + 1.0!r}")
 
 
 # -- every builtin scenario perturbation ---------------------------------------------

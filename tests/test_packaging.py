@@ -75,3 +75,25 @@ def test_the_package_starts_without_scipy():
          "if name.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == "[]"
+
+
+def test_the_package_imports_no_tests_only_module():
+    # The modules beside the tests (the event-loop and row-path
+    # references, the figure suite, the trace comparator) prove
+    # equivalence; the package must run without them.
+    helpers = {path.stem for path in (ROOT / "tests").glob("*.py")
+               if not path.stem.startswith("test_")
+               and path.stem != "conftest"}
+    assert helpers >= {"eventloop", "rowpath", "figure_suite"}
+    for path in PACKAGE.rglob("*.py"):
+        assert not imports(path)[0] & helpers, path
+
+
+def test_the_event_loop_is_not_exported():
+    import repro.cloud
+    import repro.core.rng
+
+    reference = {"Event", "EventQueue", "FairShareQueue", "FifoQueue",
+                 "QueuedEntry", "BufferedDraws"}
+    for module in (repro.cloud, repro.core.rng):
+        assert not reference & set(vars(module)), module.__name__

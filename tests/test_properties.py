@@ -11,7 +11,6 @@ from repro.analysis.stats import pearson_correlation, summarize
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import random_circuit
 from repro.circuits.qasm import from_qasm, to_qasm
-from repro.cloud.queues import FairShareQueue
 from repro.cloud.job import CircuitSpec, Job
 from repro.core.rng import RandomSource, derive_seed, seed_words
 from repro.core.units import format_duration
@@ -29,6 +28,7 @@ from repro.transpiler.passes import (
 from repro.workloads.distributions import FamilySampler, ShotsSampler
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.users import default_user_population
+from eventloop import FairShareQueue
 
 # Strategy: small random circuits described by a seed and size bounds.
 circuit_strategy = st.builds(
