@@ -4,12 +4,13 @@ A cache root is one directory holding the trace cache
 (:class:`~repro.runner.cache.TraceCache`), the transpile cache
 (:class:`~repro.transpiler.cache.TranspileCache`) and the gateway's
 comparisons (:class:`~repro.service.store.ResultStore`).  Every entry is
-named ``<kind>-<key><suffix>`` — a file, or a directory for an
-out-of-core trace — and :class:`CacheRoot` owns what the kinds share:
+one file named ``<kind>-<key><suffix>``, with one suffix per kind, and
+:class:`CacheRoot` owns what the kinds share:
 
-* :meth:`~CacheRoot.write` fills a uuid-named scratch beside the entry and
-  renames it into place, so concurrent writers never share a scratch and
-  a reader never sees a partial entry;
+* :meth:`~CacheRoot.write` fills a uuid-named scratch file beside the
+  entry and renames it into place, so concurrent writers never share a
+  scratch, the last rename wins whole, and a reader never sees a partial
+  entry;
 * :meth:`~CacheRoot.hit` bumps the entry's mtime, so recency is last *use*
   and survives process restarts;
 * :meth:`~CacheRoot.entries` lists every kind least recently used first,
@@ -25,8 +26,6 @@ its own entry; only listing and pruning scan the directory.
 from __future__ import annotations
 
 import os
-import shutil
-import stat
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,11 +36,11 @@ from repro.telemetry import Tally, get_registry
 
 __all__ = ["CacheEntry", "CacheRoot"]
 
-#: Each kind's entry suffixes; ``True`` marks a directory entry.
-_KINDS: Dict[str, Dict[str, bool]] = {
-    "trace": {".npz": False, ".blocks": True},
-    "transpile": {".json": False},
-    "comparison": {".json": False},
+#: Each kind's entry suffix.
+_KINDS: Dict[str, str] = {
+    "trace": ".npz",
+    "transpile": ".json",
+    "comparison": ".json",
 }
 
 #: The process-wide hit/miss/eviction family of each kind.
@@ -90,14 +89,6 @@ class CacheEntry:
         }
 
 
-def _remove(path: Path) -> None:
-    """Delete a file or directory entry; a missing one is no error."""
-    if path.is_dir():
-        shutil.rmtree(path, ignore_errors=True)
-    else:
-        path.unlink(missing_ok=True)
-
-
 class CacheRoot:
     """A cache directory: atomic writes, LRU recency and one byte budget
     over every kind of entry, with per-kind hit/miss/eviction counts."""
@@ -139,30 +130,25 @@ class CacheRoot:
               fill: Callable[[Path], object]) -> Path:
         """Store one entry atomically; returns its path.
 
-        ``fill`` writes the entry (a file or a directory) at the uuid-named
-        scratch path it is given; the scratch is then renamed into place
-        and any entry of another suffix under the same key is dropped, so a
-        key never resolves ambiguously.  The scratch never outlives the
-        call.  If ``fill`` fails, the entry already stored under the key is
-        left as it was, and an ``OSError`` (a full disk, say) is raised as
-        a :class:`~repro.core.exceptions.WorkloadError` naming the entry.
+        ``fill`` writes the entry file at the uuid-named scratch path it is
+        given; the scratch is then renamed over the entry in one step, so
+        two writers of one key both succeed and the last rename wins.  The
+        scratch never outlives the call.  If ``fill`` fails, the entry
+        already stored under the key is left as it was, and an ``OSError``
+        (a full disk, say) is raised as a
+        :class:`~repro.core.exceptions.WorkloadError` naming the entry.
         """
         path = self.entry_path(kind, key, suffix)
         scratch = path.with_suffix(f".tmp.{uuid.uuid4().hex}")
         try:
             self.path.mkdir(parents=True, exist_ok=True)
             fill(scratch)
-            if _KINDS[kind][suffix]:  # a directory cannot replace one
-                shutil.rmtree(path, ignore_errors=True)
             scratch.replace(path)
-            for other in _KINDS[kind]:
-                if other != suffix:
-                    _remove(self.entry_path(kind, key, other))
         except OSError as exc:
             raise WorkloadError(
                 f"could not write cache entry {path}: {exc}") from exc
         finally:
-            _remove(scratch)
+            scratch.unlink(missing_ok=True)
         return path
 
     # -- listing and eviction ----------------------------------------------------------
@@ -174,23 +160,17 @@ class CacheRoot:
             return found
         for path in self.path.iterdir():
             kind, _, name = path.name.partition("-")
-            is_dir = _KINDS.get(kind, {}).get(path.suffix)
-            if is_dir is None:
+            if _KINDS.get(kind) != path.suffix:
                 continue
             try:
                 info = path.stat()
-                if stat.S_ISDIR(info.st_mode) != is_dir:
-                    continue
-                size = (sum(child.stat().st_size for child in path.iterdir()
-                            if child.is_file())
-                        if is_dir else info.st_size)
             except OSError:  # evicted by a concurrent pruner mid-scan
                 continue
             found.append(CacheEntry(
                 kind=kind,
                 key=name[:-len(path.suffix)],
                 path=path,
-                size_bytes=size,
+                size_bytes=info.st_size,
                 modified=info.st_mtime,
             ))
         found.sort(key=lambda entry: (entry.modified, entry.key))
@@ -217,10 +197,7 @@ class CacheRoot:
             if total <= max_bytes:
                 break
             try:
-                if entry.path.is_dir():
-                    shutil.rmtree(entry.path)
-                else:
-                    entry.path.unlink()
+                entry.path.unlink()
             except FileNotFoundError:  # a concurrent pruner got there first
                 total -= entry.size_bytes
                 continue

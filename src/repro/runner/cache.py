@@ -7,16 +7,15 @@ each generated trace under a key derived from the *content* of its
 equivalent config — regardless of worker or shard count, which do not affect
 the result — gets the exact bytes of the first run back.
 
-Entries are written as the versioned compressed ``.npz`` column dump of
+Every entry is the versioned compressed ``.npz`` column dump of
 :meth:`~repro.workloads.trace.TraceDataset.to_npz` (deterministic bytes,
-loads as typed arrays with no row parsing).  Traces whose column bytes
-exceed their resident-memory budget are stored as *block-manifest
-directories* instead (``trace-<key>.blocks/``: a ``manifest.json`` plus
-one versioned block ``.npz`` per chunk), written and re-served block by
-block so neither ``put`` nor ``get`` ever materialises the whole trace.
-*Stale-content* invalidation happens through the fingerprint itself —
-entries written by incompatible versions live under different keys and
-simply miss.
+loads as typed arrays with no row parsing), whatever the memory budget of
+the process that wrote it.  Under a budget, ``put`` streams the dump from
+the trace's blocks and ``get`` reads it back block by block, so neither
+holds a whole column; either way ``get`` reads the entry once and the
+trace never goes back to it.  *Stale-content* invalidation happens through
+the fingerprint itself — entries written by incompatible versions live
+under different keys and simply miss.
 
 Trace entries share their directory with the transpile cache and the
 gateway's comparisons: :class:`~repro.core.cacheroot.CacheRoot` owns the
@@ -30,7 +29,9 @@ import dataclasses
 import enum
 import hashlib
 import json
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -42,6 +43,16 @@ from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
 __all__ = ["CacheEntry", "TRACE_SCHEMA_VERSION", "TraceCache",
            "config_fingerprint"]
+
+#: What reading a damaged or missing entry raises: a missing file, a
+#: broken zip structure or CRC, zip flag bits that ``zipfile`` cannot
+#: honour (``RuntimeError``, ``NotImplementedError``), an inflate error, a
+#: truncated member, a member that fails the reader's shape and dtype
+#: checks, and an ``.npy`` header that numpy's fallback tokenizer cannot
+#: parse.
+_UNREADABLE = (OSError, EOFError, ValueError, TypeError, KeyError,
+               RuntimeError, SyntaxError, zipfile.BadZipFile, zlib.error,
+               tokenize.TokenError)
 
 
 def _canonical(value: object) -> object:
@@ -99,27 +110,16 @@ class TraceCache:
     def path_for(self, key: str) -> Path:
         return self.cache_root.entry_path("trace", key, ".npz")
 
-    def manifest_dir_for(self, key: str) -> Path:
-        """Where a block-manifest entry for ``key`` would live (the layout
-        used for traces too large for their resident-bytes budget)."""
-        return self.cache_root.entry_path("trace", key, ".blocks")
-
     def existing_path_for(self, key: str) -> Optional[Path]:
         """The on-disk entry a hit for ``key`` would be served from, if any."""
         path = self.path_for(key)
-        if path.is_file():
-            return path
-        manifest_dir = self.manifest_dir_for(key)
-        if manifest_dir.is_dir():
-            return manifest_dir
-        return None
+        return path if path.is_file() else None
 
     def get(self, key: str) -> Optional[TraceDataset]:
         """The cached trace for ``key``, or None on a miss.
 
-        The ``.npz`` column dump is tried first, then a block manifest.  A
-        corrupt or unreadable entry (e.g. hand-edited, or truncated
-        mid-write) counts as a miss and will be overwritten by the
+        A corrupt or unreadable entry (hand-edited, truncated mid-write, a
+        flipped bit) counts as a miss and will be overwritten by the
         regenerated trace rather than poisoning every later run.  A
         *schema-version* mismatch, however, raises
         :class:`~repro.core.exceptions.TraceSchemaError` with the expected
@@ -128,82 +128,55 @@ class TraceCache:
         is a configuration problem to surface, not one to silently re-pay
         minutes of regeneration for on every run.
 
-        A ``.npz`` entry is read whole (and chunked under the process-wide
-        memory budget), so the trace never reads its entry again and
-        outlives a prune of it.  A block-manifest entry loads lazily: every
-        block starts spilled, backed by its file in the entry, and the
-        budget governs how many become resident.
+        The entry is read once, block by block under the process-wide
+        memory budget (see :meth:`TraceDataset.from_npz`), so the trace
+        outlives a prune or a rewrite of its entry.
         """
-        manifest_dir = self.manifest_dir_for(key)
-        candidates = [
-            (self.path_for(key), TraceDataset.from_npz),
-            (manifest_dir, TraceDataset.from_block_manifest),
-        ]
+        path = self.path_for(key)
         with get_tracer().span("cache.get", study=key):
-            for path, loader in candidates:
-                if path is manifest_dir:
-                    if not (path / "manifest.json").is_file():
-                        continue
-                elif not path.is_file():
-                    continue
-                try:
-                    trace = loader(path)
-                except TraceSchemaError as exc:
-                    raise TraceSchemaError(
-                        f"cache entry {path} has an incompatible trace "
-                        f"schema: {exc}; delete the entry (or point "
-                        f"--cache-dir at a fresh directory) to regenerate "
-                        f"it") from exc
-                except (ValueError, TypeError, KeyError, OSError,
-                        zipfile.BadZipFile):
-                    continue
-                found = trace.metadata.get("trace_schema")
-                if found is not None and found != TRACE_SCHEMA_VERSION:
-                    raise TraceSchemaError(
-                        f"cache entry {path} holds a trace generated under "
-                        f"TRACE_SCHEMA_VERSION={found!r} but this version "
-                        f"expects {TRACE_SCHEMA_VERSION}; delete the entry "
-                        f"(or point --cache-dir at a fresh directory) to "
-                        f"regenerate it")
-                self.cache_root.hit("trace", path)
-                return trace
-            self.cache_root.miss("trace")
-            return None
+            try:
+                trace = TraceDataset.from_npz(path)
+            except TraceSchemaError as exc:
+                raise TraceSchemaError(
+                    f"cache entry {path} has an incompatible trace "
+                    f"schema: {exc}; delete the entry (or point "
+                    f"--cache-dir at a fresh directory) to regenerate "
+                    f"it") from exc
+            except _UNREADABLE:
+                self.cache_root.miss("trace")
+                return None
+            found = trace.metadata.get("trace_schema")
+            if found is not None and found != TRACE_SCHEMA_VERSION:
+                raise TraceSchemaError(
+                    f"cache entry {path} holds a trace generated under "
+                    f"TRACE_SCHEMA_VERSION={found!r} but this version "
+                    f"expects {TRACE_SCHEMA_VERSION}; delete the entry "
+                    f"(or point --cache-dir at a fresh directory) to "
+                    f"regenerate it")
+            self.cache_root.hit("trace", path)
+            return trace
 
     def get_bytes(self, key: str) -> Optional[bytes]:
-        """The exact cached bytes for ``key`` (None on a miss).
-
-        Block-manifest entries have no single-file byte representation —
-        serving one through this path would materialise the whole trace,
-        which is exactly what the out-of-core format exists to avoid — so
-        they miss here; callers that need the data stream it block-wise
-        through :meth:`get` instead.
-        """
-        path = self.existing_path_for(key)
-        if path is None or path.is_dir():
+        """The exact cached bytes for ``key`` (None on a miss)."""
+        path = self.path_for(key)
+        try:
+            data = path.read_bytes()
+        except OSError:
             self.cache_root.miss("trace")
             return None
-        data = path.read_bytes()
         self.cache_root.hit("trace", path)
         return data
 
     def put(self, key: str, trace: TraceDataset) -> Path:
         """Store ``trace`` under ``key`` atomically; returns the cache path.
 
-        In-RAM-sized traces are written as the single deterministic ``.npz``
-        dump (byte-identical to every prior release); a trace whose column
-        bytes exceed its resident budget is streamed block by block into a
-        ``trace-<key>.blocks/`` manifest directory instead, so the put never
-        materialises it.  :meth:`CacheRoot.write` makes either atomic and
-        drops the other format's entry for the key.
+        Every trace is written as the one deterministic ``.npz`` dump, the
+        same bytes whether or not it is chunked, so a chunked trace is
+        streamed from its blocks without being materialised.
+        :meth:`CacheRoot.write` makes the write atomic.
         """
-        if trace.is_out_of_core:
-            suffix, fill = ".blocks", trace.to_block_manifest
-        else:
-            suffix, fill = ".npz", trace.to_npz
-        with get_tracer().span("cache.put", study=key,
-                               out_of_core=trace.is_out_of_core):
-            return self.cache_root.write("trace", key, suffix, fill)
+        with get_tracer().span("cache.put", study=key):
+            return self.cache_root.write("trace", key, ".npz", trace.to_npz)
 
     def stats(self) -> Dict[str, int]:
         return self.cache_root.counts("trace")

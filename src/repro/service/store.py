@@ -6,7 +6,8 @@
 * **traces** are the trace cache's own ``.npz`` entries, addressed by
   config fingerprint — the same key the batch CLI uses, so a trace
   generated by ``run-scenarios`` and one generated through the gateway are
-  literally the same bytes on disk;
+  literally the same bytes on disk, whatever memory budget either ran
+  under;
 * **comparisons** (the JSON delta report of a suite) are
   ``comparison-<key>.json`` entries of the same root, addressed by a
   content hash over the suite's ordered scenario ``(name, fingerprint,
@@ -76,7 +77,8 @@ class ResultStore:
         """The exact cached trace bytes for a fingerprint (None on miss).
 
         Byte-identical to what the batch path wrote: the entry *is* the
-        trace cache's ``.npz`` dump.
+        trace cache's ``.npz`` dump, which every finished trace has, under
+        a memory budget or not.
         """
         data = self.cache.get_bytes(fingerprint)
         (self._trace_misses if data is None else self._trace_hits).inc()

@@ -5,9 +5,9 @@ The out-of-core data plane stores a trace as an ordered sequence of
 one ``{name: ndarray}`` dict each.  A :class:`BlockStore` owns the sequence
 and a :class:`ResidencyGovernor` enforces a configurable resident-bytes
 budget across every store that shares it: past the budget, least-recently
-used blocks are *spilled* to versioned ``.npz`` block files (or simply
-dropped when they already have a backing file, e.g. blocks loaded from a
-cache manifest) and transparently re-read on the next access.
+used blocks are *spilled* to versioned ``.npz`` block files in the
+governor's private directory (or simply dropped when they were spilled
+before) and transparently re-read on the next access.
 
 The module is deliberately independent of :mod:`repro.workloads.trace`
 (which builds on it) — it knows nothing about job records, vocabularies or
@@ -29,8 +29,18 @@ import tempfile
 import threading
 import weakref
 import zipfile
+from functools import reduce
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -42,18 +52,20 @@ __all__ = [
     "BlockStore",
     "ColumnBlock",
     "DEFAULT_BLOCK_ROWS",
+    "NpyMemberReader",
     "ResidencyGovernor",
     "get_memory_budget",
     "parse_byte_size",
     "read_block_column",
     "read_block_file",
+    "read_npz_member",
     "set_memory_budget",
     "write_block_file",
     "write_npz_member",
 ]
 
-#: Version of the per-block ``.npz`` file layout (spill files and cache
-#: manifest blocks); bump on incompatible changes.
+#: Version of the per-block ``.npz`` spill file layout; bump on
+#: incompatible changes.
 BLOCK_SCHEMA_VERSION = 1
 
 #: The residency event families: each governor tallies its own events
@@ -150,42 +162,130 @@ def get_memory_budget() -> Optional[int]:
 
 # -- deterministic npz helpers ---------------------------------------------------------
 
-def write_npz_member(archive: zipfile.ZipFile, member: str,
-                     array: np.ndarray) -> None:
-    """Write one ``.npy`` member with fixed timestamp and compression.
+#: Bytes per read while a ``.npy`` member is decoded (NumPy's own
+#: ``read_array`` buffer size), so a whole-member read holds the array
+#: plus one such buffer.
+_READ_BYTES = 1 << 18
 
-    Shared by the trace's single-file ``.npz`` dump, spill block files and
-    cache-manifest block files, so every on-disk artefact of one trace is
-    written byte-deterministically.
+
+def write_npz_member(archive: zipfile.ZipFile, member: str, length: int,
+                     dtype: np.dtype, chunks: Iterable[np.ndarray]) -> None:
+    """Write one 1-D ``.npy`` member of ``length`` items, chunk by chunk.
+
+    The ``.npy`` 1.0 header declares the whole member, then each chunk is
+    cast to ``dtype`` and deflated as it arrives, so a member never exists
+    in memory at once.  Timestamp and compression are fixed, and deflate
+    output does not depend on how its input is split, so the bytes equal
+    those of ``np.save`` on the concatenated chunks: the trace's ``.npz``
+    dump and spill block files are written byte-deterministically.
     """
-    buffer = io.BytesIO()
-    np.lib.format.write_array(buffer, np.ascontiguousarray(array),
-                              allow_pickle=False)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": (int(length),),
+    })
     info = zipfile.ZipInfo(member + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
     info.compress_type = zipfile.ZIP_DEFLATED
-    archive.writestr(info, buffer.getvalue())
+    info.file_size = header.tell() + int(length) * dtype.itemsize
+    with archive.open(info, "w") as handle:
+        handle.write(header.getbuffer())
+        for chunk in chunks:
+            handle.write(np.ascontiguousarray(chunk, dtype=dtype))
 
 
-def read_npz_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
-    with archive.open(member + ".npy") as handle:
-        return np.lib.format.read_array(io.BytesIO(handle.read()),
-                                        allow_pickle=False)
+class NpyMemberReader:
+    """One 1-D ``.npy`` member of an open ``.npz``, read a row range at a
+    time.
+
+    The header is checked on open: the member must be a 1-D, C-order
+    array of a non-object dtype (what ``np.load(allow_pickle=False)``
+    guarantees), of exactly ``rows`` items when ``rows`` is given;
+    anything else raises ``ValueError``.  The member is read to its end,
+    so ``zipfile`` checks its CRC, and bytes past the declared items are
+    corrupt too.
+    """
+
+    def __init__(self, archive: zipfile.ZipFile, member: str,
+                 rows: Optional[int] = None):
+        handle = archive.open(member + ".npy")
+        try:
+            version = np.lib.format.read_magic(handle)
+            if version == (1, 0):
+                shape, fortran_order, dtype = \
+                    np.lib.format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                shape, fortran_order, dtype = \
+                    np.lib.format.read_array_header_2_0(handle)
+            else:
+                raise ValueError(f"member {member} has .npy version "
+                                 f"{version}; expected 1.0 or 2.0")
+            if len(shape) != 1 or fortran_order or dtype.hasobject \
+                    or (rows is not None and shape[0] != rows):
+                raise ValueError(
+                    f"member {member} holds a {dtype} array of shape "
+                    f"{shape}, not a 1-D C-order array of plain items "
+                    f"of the trace's length")
+        except BaseException:
+            handle.close()
+            raise
+        self._handle = handle
+        self.member = member
+        self.dtype = dtype
+        self.length = int(shape[0])
+        self.remaining = self.length
+
+    def read(self, count: int) -> np.ndarray:
+        """The next ``count`` items; the member closes after its last."""
+        itemsize = self.dtype.itemsize
+        array = np.ndarray(count, dtype=self.dtype)
+        step = max(1, _READ_BYTES // max(1, itemsize))
+        for start in range(0, count, step):
+            stop = min(count, start + step)
+            data = self._handle.read((stop - start) * itemsize)
+            if len(data) != (stop - start) * itemsize:
+                raise ValueError(f"member {self.member} is truncated")
+            array[start:stop] = np.frombuffer(data, dtype=self.dtype)
+        self.remaining -= count
+        if self.remaining == 0:
+            trailing = self._handle.read(1)
+            self.close()
+            if trailing:
+                raise ValueError(f"member {self.member} has bytes past its "
+                                 f"{self.length} items")
+        return array
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def read_npz_member(archive: zipfile.ZipFile, member: str,
+                    rows: Optional[int] = None) -> np.ndarray:
+    """One whole 1-D member (see :class:`NpyMemberReader`)."""
+    reader = NpyMemberReader(archive, member, rows)
+    try:
+        return reader.read(reader.length)
+    finally:
+        reader.close()
 
 
 def write_block_file(path: Union[str, Path],
                      arrays: Dict[str, np.ndarray], rows: int) -> None:
     """Write one block as a versioned deterministic ``.npz`` file."""
-    header = json.dumps({"schema": BLOCK_SCHEMA_VERSION, "rows": rows})
+    header = np.asarray(
+        [json.dumps({"schema": BLOCK_SCHEMA_VERSION, "rows": rows})],
+        dtype=str)
     with zipfile.ZipFile(path, "w",
                          compression=zipfile.ZIP_DEFLATED) as archive:
-        write_npz_member(archive, "__block__",
-                         np.asarray([header], dtype=str))
+        write_npz_member(archive, "__block__", 1, header.dtype, [header])
         for name in sorted(arrays):
-            write_npz_member(archive, f"col__{name}", arrays[name])
+            array = arrays[name]
+            write_npz_member(archive, f"col__{name}", array.shape[0],
+                             array.dtype, [array])
 
 
 def _check_block_header(archive: zipfile.ZipFile, path: Path) -> int:
-    header = json.loads(str(read_npz_member(archive, "__block__")[0]))
+    header = json.loads(str(read_npz_member(archive, "__block__", 1)[0]))
     found = header.get("schema")
     if found != BLOCK_SCHEMA_VERSION:
         raise TraceSchemaError(
@@ -314,39 +414,29 @@ class ColumnBlock:
     """One row range of a chunked trace: named equal-length arrays.
 
     A block is either *resident* (``_arrays`` holds the column dict) or
-    *spilled* (``path`` points at a versioned block file).  Blocks loaded
-    from a cache manifest start spilled and keep their manifest file as the
-    backing store, so releasing them never writes anything.
+    *spilled* (``path`` points at the versioned block file the governor
+    spilled it to).  A block starts resident; once spilled, releasing it
+    again writes nothing.
     """
 
     def __init__(self, governor: ResidencyGovernor,
-                 arrays: Optional[Dict[str, np.ndarray]] = None,
-                 path: Optional[Union[str, Path]] = None,
+                 arrays: Dict[str, np.ndarray],
                  rows: Optional[int] = None,
-                 names: Optional[Sequence[str]] = None,
-                 nbytes: Optional[int] = None):
-        if arrays is None and path is None:
-            raise WorkloadError("a block needs arrays or a backing file")
+                 names: Optional[Sequence[str]] = None):
         self.governor = governor
-        self._arrays = dict(arrays) if arrays is not None else None
-        self.path = Path(path) if path is not None else None
-        if self._arrays is not None:
-            first = next(iter(self._arrays.values()), None)
-            self.rows = int(rows if rows is not None
-                            else (0 if first is None else first.shape[0]))
-            self.names = tuple(names if names is not None
-                               else sorted(self._arrays))
-            self.nbytes = int(nbytes if nbytes is not None else sum(
-                array.nbytes for array in self._arrays.values()))
-            governor.admit(self)
-            governor.enforce(keep=self)
-        else:
-            if rows is None or names is None:
-                raise WorkloadError(
-                    "a file-backed block needs explicit rows and names")
-            self.rows = int(rows)
-            self.names = tuple(names)
-            self.nbytes = int(nbytes if nbytes is not None else 0)
+        self._arrays: Optional[Dict[str, np.ndarray]] = dict(arrays)
+        self.path: Optional[Path] = None
+        first = next(iter(self._arrays.values()), None)
+        self.rows = int(rows if rows is not None
+                        else (0 if first is None else first.shape[0]))
+        self.names = tuple(names if names is not None
+                           else sorted(self._arrays))
+        #: each column's dtype, known without reloading a spilled block
+        self.dtypes = {name: array.dtype
+                       for name, array in self._arrays.items()}
+        self.nbytes = sum(array.nbytes for array in self._arrays.values())
+        governor.admit(self)
+        governor.enforce(keep=self)
 
     @property
     def resident(self) -> bool:
@@ -361,8 +451,6 @@ class ColumnBlock:
                                    nbytes=self.nbytes):
                 loaded = read_block_file(self.path, self.names)
             self._arrays = loaded
-            if self.nbytes == 0:
-                self.nbytes = sum(a.nbytes for a in loaded.values())
             governor.loads.inc()
             governor.admit(self)
             governor.enforce(keep=self)
@@ -451,6 +539,11 @@ class BlockStore:
             return self.blocks[0].column(name)
         return np.concatenate([block.column(name)
                                for block in self.blocks])
+
+    def dtype(self, name: str) -> np.dtype:
+        """The dtype :meth:`column` returns, read from no block file."""
+        return reduce(np.promote_types,
+                      (block.dtypes[name] for block in self.blocks))
 
     @property
     def total_nbytes(self) -> int:

@@ -17,17 +17,19 @@ iteration materialise :class:`JobRecord` views lazily from the columns.
 Persistence: JSON and CSV round-trips (unchanged, byte-compatible formats)
 plus a versioned compressed ``.npz`` column dump that loads an order of
 magnitude faster and is written deterministically (same trace in, same
-bytes out) so on-disk caches stay byte-stable.
+bytes out) so on-disk caches stay byte-stable.  The ``.npz`` is the one
+on-disk trace format of the trace cache, with or without a memory budget.
 
 Out-of-core: when a resident-bytes budget is active (see
 :func:`repro.workloads.blocks.set_memory_budget`), a dataset is chunked
 into fixed-size :class:`~repro.workloads.blocks.ColumnBlock` rows that
 spill to versioned ``.npz`` block files past the budget and stream back on
-access.  :meth:`TraceDataset.iter_blocks` / :meth:`TraceDataset.map_blocks`
-are the sanctioned full-scan path; column access, selection and group-by
-keep working unchanged on chunked datasets (they stream block-wise under
-the hood), and every on-disk format — including the byte-stable cache
-``.npz`` — is identical whether or not the dataset was chunked in memory.
+access.  :meth:`TraceDataset.iter_blocks` is the sanctioned full-scan
+path; column access, selection and group-by keep working unchanged on
+chunked datasets (they stream block-wise under the hood).  The ``.npz``
+dump is written and read a block at a time, so neither ever holds a whole
+column of a chunked trace, and its bytes are identical whether or not the
+dataset was chunked in memory.
 """
 
 from __future__ import annotations
@@ -55,13 +57,12 @@ import numpy as np
 from repro.core.exceptions import TraceSchemaError, WorkloadError
 from repro.core.types import JobStatus
 from repro.workloads.blocks import (
-    BLOCK_SCHEMA_VERSION,
     BlockStore,
-    ColumnBlock,
     DEFAULT_BLOCK_ROWS,
+    NpyMemberReader,
     ResidencyGovernor,
     get_memory_budget,
-    write_block_file,
+    read_npz_member,
     write_npz_member,
 )
 
@@ -201,6 +202,11 @@ _OPTIONAL_DERIVED_COLUMNS = frozenset((
 
 #: Version of the ``.npz`` column-dump layout; bump on incompatible changes.
 NPZ_SCHEMA_VERSION = 1
+#: The order an ``.npz`` load reads its columns in: ``job_id``, the
+#: widest, before the small categorical codes, so a whole load holds
+#: fewer resident columns beside its read buffers.
+_NPZ_READ_ORDER = (_INT_COLUMNS + _FLOAT_COLUMNS + _OPTIONAL_FLOAT_COLUMNS
+                   + _BOOL_COLUMNS + _STRING_COLUMNS + _CATEGORICAL_COLUMNS)
 
 
 def _string_array(values: Sequence[str]) -> np.ndarray:
@@ -216,6 +222,38 @@ def _encode_categorical(values: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, .
     codes = np.fromiter((mapping[v] for v in values), dtype=np.int32,
                         count=len(values))
     return codes, vocab
+
+
+def _merge_categorical(
+    parts: Sequence[Tuple[np.ndarray, Tuple[str, ...]]],
+) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Concatenate ``(codes, vocabulary)`` parts of one categorical column.
+
+    The vocabularies are unioned and sorted, exactly like a full-list
+    encode, and each part's codes are remapped into the union.
+    """
+    merged = tuple(sorted(set().union(*(vocab for _, vocab in parts))))
+    mapping = {value: code for code, value in enumerate(merged)}
+    remapped = [
+        np.asarray([mapping[v] for v in vocab] or [0], dtype=np.int32)[codes]
+        for codes, vocab in parts
+    ]
+    return np.concatenate(remapped), merged
+
+
+def _block_rows_for(rows: int, column_nbytes: int,
+                    budget: Optional[int]) -> int:
+    """Rows per block when a trace of ``rows`` rows is chunked.
+
+    Under a budget, blocks are cut so that four fit in it at once and the
+    governor can actually rotate (spill and reload) them.
+    """
+    rows_per_block = DEFAULT_BLOCK_ROWS
+    if budget is not None and rows:
+        bytes_per_row = max(1, column_nbytes // rows)
+        rows_per_block = min(rows_per_block,
+                             max(1, budget // (4 * bytes_per_row)))
+    return rows_per_block
 
 
 def _parse_npz_header(text: str, path: Path) -> Dict[str, object]:
@@ -296,17 +334,8 @@ def merge_shard_columns(
     columns: Dict[str, np.ndarray] = {}
     vocabs: Dict[str, Tuple[str, ...]] = {}
     for name in _CATEGORICAL_COLUMNS:
-        merged = tuple(sorted(
-            set().union(*(set(p.vocabs[name]) for p in payloads))))
-        mapping = {value: code for code, value in enumerate(merged)}
-        parts = []
-        for payload in payloads:
-            remap = np.asarray(
-                [mapping[v] for v in payload.vocabs[name]] or [0],
-                dtype=np.int32)
-            parts.append(remap[payload.columns[name]])
-        columns[name] = np.concatenate(parts)
-        vocabs[name] = merged
+        columns[name], vocabs[name] = _merge_categorical(
+            [(p.columns[name], p.vocabs[name]) for p in payloads])
     for name in _STORED_COLUMNS:
         if name in _CATEGORICAL_COLUMNS:
             continue
@@ -367,15 +396,12 @@ _DERIVED_INPUTS: Dict[str, Tuple[str, ...]] = {
     "is_done": ("status",),
 }
 
-#: manifest file name inside a block-manifest cache entry directory
-MANIFEST_NAME = "manifest.json"
-
 
 class TraceDataset:
     """An ordered, columnar collection of :class:`JobRecord` rows.
 
-    Construct through :meth:`from_records`, :meth:`from_columns` or
-    :meth:`from_blocks`; ``TraceDataset()`` is the empty dataset.
+    Construct through :meth:`from_records` or :meth:`from_columns`;
+    ``TraceDataset()`` is the empty dataset.
     """
 
     def __init__(self, *, metadata: Optional[Dict[str, object]] = None):
@@ -430,31 +456,6 @@ class TraceDataset:
         return dataset
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Union[ColumnBlock,
-                                                Dict[str, np.ndarray]]],
-                    vocabs: Dict[str, Tuple[str, ...]],
-                    metadata: Optional[Dict[str, object]] = None,
-                    governor: Optional[ResidencyGovernor] = None,
-                    ) -> "TraceDataset":
-        """Build a chunked dataset from column blocks.
-
-        ``blocks`` yields either ready :class:`ColumnBlock` objects (which
-        must share ``governor``) or plain ``{name: ndarray}`` dicts.  With
-        no blocks an empty (plain) dataset is returned.
-        """
-        store = BlockStore(governor)
-        for block in blocks:
-            if isinstance(block, ColumnBlock):
-                store.append_block(block)
-            else:
-                store.append_arrays(block)
-        if not store.blocks:
-            columns, empty_vocabs = columns_from_records([])
-            empty_vocabs.update(vocabs)
-            return cls._from_columns(columns, empty_vocabs, metadata)
-        return cls._from_block_store(store, vocabs, metadata)
-
-    @classmethod
     def _from_block_store(cls, store: BlockStore,
                           vocabs: Dict[str, Tuple[str, ...]],
                           metadata: Optional[Dict[str, object]] = None,
@@ -473,17 +474,14 @@ class TraceDataset:
         """Re-back a plain (fully resident) dataset with a block store."""
         size = len(self)
         columns = self._columns
-        rows_per_block = int(block_rows) if block_rows else DEFAULT_BLOCK_ROWS
-        budget = (governor.budget if governor is not None
-                  else get_memory_budget())
-        if block_rows is None and budget is not None and size:
-            # Size blocks to the budget: several blocks should fit at once,
-            # so the governor can actually rotate (spill/reload) them.
-            bytes_per_row = max(1, sum(
-                column.nbytes for column in columns.values()) // size)
-            rows_per_block = min(rows_per_block,
-                                 max(1, budget // (4 * bytes_per_row)))
-        rows_per_block = max(1, rows_per_block)
+        if block_rows:
+            rows_per_block = max(1, int(block_rows))
+        else:
+            budget = (governor.budget if governor is not None
+                      else get_memory_budget())
+            rows_per_block = _block_rows_for(
+                size, sum(column.nbytes for column in columns.values()),
+                budget)
         store = BlockStore(governor)
         for start in range(0, max(size, 1), rows_per_block):
             stop = min(start + rows_per_block, size)
@@ -568,19 +566,10 @@ class TraceDataset:
                 [np.asarray(self._columns[name], dtype=str),
                  np.asarray(new_columns[name], dtype=str)])
         for name in _CATEGORICAL_COLUMNS:
-            merged = tuple(sorted(set(self._vocabs[name])
-                                  | set(new_vocabs[name])))
-            mapping = {value: code for code, value in enumerate(merged)}
-            remap_old = np.asarray(
-                [mapping[v] for v in self._vocabs[name]] or [0],
-                dtype=np.int32)
-            remap_new = np.asarray(
-                [mapping[v] for v in new_vocabs[name]] or [0], dtype=np.int32)
-            self._columns[name] = np.concatenate([
-                remap_old[self._columns[name]],
-                remap_new[new_columns[name]],
+            self._columns[name], self._vocabs[name] = _merge_categorical([
+                (self._columns[name], self._vocabs[name]),
+                (new_columns[name], new_vocabs[name]),
             ])
-            self._vocabs[name] = merged
         self._derived.clear()
         self._row_count = None
 
@@ -686,13 +675,6 @@ class TraceDataset:
         view = TraceDataset._from_columns(arrays, self._vocabs)
         view._row_count = rows
         return view
-
-    def map_blocks(self, fn: Callable[["TraceDataset"], object],
-                   columns: Optional[Sequence[str]] = None,
-                   block_rows: Optional[int] = None) -> List[object]:
-        """Apply ``fn`` to every block (see :meth:`iter_blocks`)."""
-        return [fn(block)
-                for block in self.iter_blocks(columns, block_rows)]
 
     def grouped_values(self, by: str, name: str,
                        drop_missing: bool = True
@@ -1070,140 +1052,97 @@ class TraceDataset:
 
         The member order, timestamps and compression are fixed, so the same
         trace always produces the same bytes — a requirement of the on-disk
-        trace cache's byte-stability guarantee.  Members are written one at
-        a time, with each column materialised on demand and released after
-        writing, so dumping a chunked dataset needs at most one full column
-        (not the whole trace) resident.
+        trace cache's byte-stability guarantee.  A chunked dataset writes
+        each column member block by block, so the dump holds one block's
+        column at a time, never a whole column; a spilled block
+        decompresses only that member.
         """
+        rows = len(self)
+        header = json.dumps({
+            "schema": NPZ_SCHEMA_VERSION,
+            "rows": rows,
+            "metadata": self.metadata,
+        })
         members = sorted(
             [f"col__{name}" for name in self._columns.keys()]
             + [f"vocab__{name}" for name in self._vocabs]
             + ["__meta__"])
-        header = json.dumps({
-            "schema": NPZ_SCHEMA_VERSION,
-            "rows": len(self),
-            "metadata": self.metadata,
-        })
+        store = self._blocks
         with zipfile.ZipFile(path, "w",
                              compression=zipfile.ZIP_DEFLATED) as archive:
             for member in members:
+                kind, _, name = member.partition("__")
                 if member == "__meta__":
                     array = _string_array([header])
-                elif member.startswith("vocab__"):
-                    array = _string_array(
-                        self._vocabs[member[len("vocab__"):]])
+                elif kind == "vocab":
+                    array = _string_array(self._vocabs[name])
+                elif store is None:
+                    array = self._columns[name]
                 else:
-                    array = self._columns[member[len("col__"):]]
-                write_npz_member(archive, member, array)
+                    write_npz_member(
+                        archive, member, rows, store.dtype(name),
+                        (block.column(name) for block in store.blocks))
+                    continue
+                write_npz_member(archive, member, len(array), array.dtype,
+                                 [array])
 
     @classmethod
     def from_npz(cls, path: Union[str, Path]) -> "TraceDataset":
         """Load a trace written by :meth:`to_npz`.
 
-        Every column is read whole, so the dataset never goes back to the
-        file; under a memory budget it is chunked like any other.
+        The dataset never goes back to the file.  With no memory budget
+        each column is read whole; under one, every column member is read
+        in step, one block of rows at a time, into governed blocks laid out
+        as :meth:`from_columns` would chunk the same columns, so no whole
+        column is ever resident.
 
         Raises :class:`~repro.core.exceptions.TraceSchemaError` (a
         ``ValueError`` subclass) when the column-layout schema does not
-        match, naming the expected and found versions and the path, and
-        ``KeyError`` on missing members.
+        match, naming the expected and found versions and the path;
+        ``KeyError`` on missing members; and ``ValueError`` when a member is
+        not a 1-D, C-order array of plain items of the trace's length.
+        ``zipfile`` and ``zlib`` raise their own errors for a damaged
+        archive.
         """
         path = Path(path)
-        with np.load(path, allow_pickle=False) as data:
-            header = _parse_npz_header(str(data["__meta__"][0]), path)
-            columns: Dict[str, np.ndarray] = {}
-            vocabs: Dict[str, Tuple[str, ...]] = {}
-            for name in (_INT_COLUMNS + _FLOAT_COLUMNS
-                         + _OPTIONAL_FLOAT_COLUMNS + _BOOL_COLUMNS
-                         + _STRING_COLUMNS):
-                columns[name] = data[f"col__{name}"]
-            for name in _CATEGORICAL_COLUMNS:
-                columns[name] = data[f"col__{name}"]
-                vocabs[name] = tuple(data[f"vocab__{name}"].tolist())
+        with zipfile.ZipFile(path) as archive:
+            header = _parse_npz_header(
+                str(read_npz_member(archive, "__meta__", 1)[0]), path)
+            rows = header.get("rows")
+            if not isinstance(rows, int) or rows < 0:
+                raise ValueError(f"trace npz {path} declares {rows!r} rows")
+            vocabs = {
+                name: tuple(read_npz_member(archive,
+                                            f"vocab__{name}").tolist())
+                for name in _CATEGORICAL_COLUMNS
+            }
             metadata = header.get("metadata", {})
-        dataset = cls.from_columns(columns, vocabs, metadata)
-        if isinstance(header.get("rows"), int):
-            dataset._row_count = int(header["rows"])
-        return dataset
-
-    # -- block manifests ---------------------------------------------------------------
-
-    def to_block_manifest(self, directory: Union[str, Path]) -> Path:
-        """Write the trace as a block-manifest directory.
-
-        Layout: ``manifest.json`` (schema versions, rows, vocabularies,
-        metadata, per-block file names and row counts) plus one versioned
-        ``block-NNNNNN.npz`` file per block.  Blocks are streamed one at a
-        time, so an out-of-core trace is persisted without ever being fully
-        resident.  The cache stores budget-exceeding traces this way.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        entries: List[Dict[str, object]] = []
-        for index, block in enumerate(self.iter_blocks()):
-            name = f"block-{index:06d}.npz"
-            arrays = {column: block._columns[column]
-                      for column in block._columns.keys()}
-            write_block_file(directory / name, arrays, len(block))
-            entries.append({"file": name, "rows": len(block)})
-        manifest = {
-            "schema": BLOCK_SCHEMA_VERSION,
-            "npz_schema": NPZ_SCHEMA_VERSION,
-            "rows": len(self),
-            "metadata": self.metadata,
-            "vocabs": {name: list(vocab)
-                       for name, vocab in self._vocabs.items()},
-            "columns": list(_STORED_COLUMNS),
-            "blocks": entries,
-        }
-        (directory / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
-        return directory
-
-    @classmethod
-    def from_block_manifest(cls, directory: Union[str, Path],
-                            budget: Optional[int] = None,
-                            use_default_budget: bool = True,
-                            ) -> "TraceDataset":
-        """Load a block-manifest directory written by
-        :meth:`to_block_manifest` without materialising any block.
-
-        Every block starts spilled, backed by its manifest file; the
-        governor's budget (explicit ``budget``, else the process-wide
-        default) decides how many blocks may be resident at once.  Raises
-        :class:`~repro.core.exceptions.TraceSchemaError` on a schema
-        mismatch.
-        """
-        directory = Path(directory)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        found = manifest.get("schema")
-        if found != BLOCK_SCHEMA_VERSION:
-            raise TraceSchemaError(
-                f"trace manifest {directory} was written with block schema "
-                f"{found!r} but this version reads schema "
-                f"{BLOCK_SCHEMA_VERSION}; regenerate the trace (or delete "
-                f"the entry) to proceed")
-        if budget is None and use_default_budget:
             budget = get_memory_budget()
-        governor = ResidencyGovernor(budget)
-        names = tuple(manifest.get("columns", _STORED_COLUMNS))
-        store = BlockStore(governor)
-        for entry in manifest["blocks"]:
-            path = directory / str(entry["file"])
-            store.append_block(ColumnBlock(
-                governor, path=path, rows=int(entry["rows"]), names=names,
-                nbytes=0))
-        vocabs = {name: tuple(vocab)
-                  for name, vocab in manifest.get("vocabs", {}).items()}
-        if not store.blocks:
-            columns, empty_vocabs = columns_from_records([])
-            empty_vocabs.update(vocabs)
-            return cls._from_columns(columns, empty_vocabs,
-                                     manifest.get("metadata", {}))
-        dataset = cls._from_block_store(store, vocabs,
-                                        manifest.get("metadata", {}))
-        dataset._row_count = int(manifest.get("rows", store.rows))
-        return dataset
+            if budget is None or rows == 0:
+                columns = {name: read_npz_member(archive, f"col__{name}",
+                                                 rows)
+                           for name in _NPZ_READ_ORDER}
+                dataset = cls._from_columns(columns, vocabs, metadata)
+                dataset._row_count = rows
+                return dataset
+            readers: Dict[str, NpyMemberReader] = {}
+            try:
+                for name in _NPZ_READ_ORDER:
+                    readers[name] = NpyMemberReader(
+                        archive, f"col__{name}", rows)
+                rows_per_block = _block_rows_for(
+                    rows, sum(rows * reader.dtype.itemsize
+                              for reader in readers.values()), budget)
+                store = BlockStore()
+                for start in range(0, rows, rows_per_block):
+                    count = min(rows_per_block, rows - start)
+                    store.append_arrays(
+                        {name: reader.read(count)
+                         for name, reader in readers.items()}, rows=count)
+            finally:
+                for reader in readers.values():
+                    reader.close()
+        return cls._from_block_store(store, vocabs, metadata)
 
     # -- Arrow / Parquet export --------------------------------------------------------
 

@@ -1,6 +1,9 @@
 """Tests for the data-plane satellites: the npz column load, actionable
-schema-mismatch errors in the trace cache, and the buffered backlog draw
-streams."""
+schema-mismatch errors and corrupt entries in the trace cache, and the
+buffered backlog draw streams."""
+
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -103,6 +106,47 @@ class TestSchemaMismatch:
         result = run_study(config=config, workers=1, cache_dir=cache)
         result.cache_path.write_bytes(b"not a zip at all")
         assert cache.get(result.cache_key) is None
+
+    def test_a_flipped_bit_in_any_member_is_a_miss(self, tmp_path):
+        """One flipped bit inside any member's deflate data — ten evenly
+        spaced interior positions in each of the 25 columns, the 6
+        vocabularies and ``__meta__`` — or in a member's central-directory
+        flags (encrypted, patched data) is a miss, never a raise, and the
+        next run overwrites the entry with the same bytes.  The data
+        positions are interior because deflate ignores the first byte's
+        final-block bit and the last byte's padding bits."""
+        config = TraceGeneratorConfig(**CONFIG)
+        cache = TraceCache(tmp_path / "cache")
+        result = run_study(config=config, workers=1, cache_dir=cache)
+        path = result.cache_path
+        original = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert len(infos) == 32
+        flips = []
+        for info in infos:
+            offset = info.header_offset
+            name_length, extra_length = struct.unpack(
+                "<HH", original[offset + 26:offset + 30])
+            start = offset + 30 + name_length + extra_length
+            stop = start + info.compress_size
+            flips += [(info.filename, int(position), 1) for position
+                      in np.linspace(start, stop, 12).astype(int)[1:-1]]
+        end = original.rindex(b"PK\x05\x06")
+        count, offset = struct.unpack("<H4xI", original[end + 10:end + 20])
+        for _ in range(count):
+            lengths = struct.unpack("<HHH", original[offset + 28:offset + 34])
+            flips += [("central directory", offset + 8, 1),
+                      ("central directory", offset + 8, 1 << 5)]
+            offset += 46 + sum(lengths)
+        for member, position, bit in flips:
+            damaged = bytearray(original)
+            damaged[position] ^= bit
+            path.write_bytes(bytes(damaged))
+            assert cache.get(result.cache_key) is None, (member, position)
+        rerun = run_study(config=config, workers=1, cache_dir=cache)
+        assert not rerun.cache_hit
+        assert path.read_bytes() == original
 
 
 class TestBufferedDraws:

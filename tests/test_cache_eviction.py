@@ -13,6 +13,7 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,9 @@ from repro.__main__ import main
 from repro.core.cacheroot import CacheRoot
 from repro.runner import TraceCache, config_fingerprint, run_study
 from repro.service import ResultStore
+from repro.workloads.blocks import ResidencyGovernor
 from repro.workloads.generator import TraceGeneratorConfig
+from repro.workloads.trace import TraceDataset
 
 CONFIGS = [TraceGeneratorConfig(total_jobs=40, months=2, seed=seed)
            for seed in (1, 2, 3)]
@@ -170,6 +173,50 @@ class TestResultStore:
         assert errors == []
         stored = json.loads(store.comparison_path_for("k").read_text())
         assert stored["comparison_key"] == "k"
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+    def test_two_writers_of_one_out_of_core_trace_both_succeed(
+            self, tmp_path, monkeypatch):
+        """Two processes finish the same budgeted study: both fill their
+        scratch before either renames it into place, and both puts must
+        return with the entry readable."""
+        source = run_study(config=CONFIGS[0], workers=1).trace
+        traces = []
+        for _ in range(2):
+            trace = TraceDataset.from_records(
+                source.records, metadata=dict(source.metadata))
+            trace._chunk_in_place(block_rows=8,
+                                  governor=ResidencyGovernor(1024))
+            assert trace.is_out_of_core
+            traces.append(trace)
+        both_filled = threading.Barrier(2, timeout=30)
+        replace = Path.replace
+
+        def replace_once_both_filled(self, target):
+            both_filled.wait()
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace_once_both_filled)
+        cache = TraceCache(tmp_path)
+        key = "k" * 24
+        errors = []
+
+        def writer(trace):
+            try:
+                cache.put(key, trace)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(trace,),
+                                    daemon=True) for trace in traces]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        monkeypatch.undo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.get(key).records == source.records
         assert not list(tmp_path.glob("*.tmp.*"))
 
 

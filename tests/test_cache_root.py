@@ -1,7 +1,7 @@
 """The cache root: one byte budget and one write path for every kind.
 
-Traces (``.npz`` files and out-of-core ``.blocks/`` directories),
-transpile summaries and gateway comparisons live in one directory.  The
+Traces (one ``.npz`` file each, out-of-core or not), transpile
+summaries and gateway comparisons live in one directory.  The
 gateway's ``--max-cache-bytes`` (``ResultStore.prune``) and ``repro cache
 --prune --max-bytes`` must both evict least recently used first across
 every kind, and a write that fails — a full disk — must leave no scratch
@@ -51,7 +51,7 @@ def _chunked(trace):
 
 
 def _disk_bytes(path: Path) -> int:
-    """Bytes of the file at ``path``, or of every file under it."""
+    """Bytes of the file at ``path``, or of every file under the root."""
     if path.is_file():
         return path.stat().st_size
     return sum(child.stat().st_size for child in path.rglob("*")
@@ -59,8 +59,8 @@ def _disk_bytes(path: Path) -> int:
 
 
 def _fill(root: Path, plain_trace):
-    """All four entry shapes in one root, at pinned mtimes (oldest first):
-    a block-manifest trace, a transpile summary, an ``.npz`` trace and a
+    """Four entries in one root, at pinned mtimes (oldest first): an
+    out-of-core trace, a transpile summary, an in-memory trace and a
     comparison.  Returns their paths and a budget that keeps only the two
     most recently used, so the older two must go whatever their kind."""
     traces = TraceCache(root)
@@ -140,20 +140,6 @@ def _full_disk_text(path, data, *args, **kwargs):
     _partial(path)
 
 
-def _full_disk_manifest(self, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True)
-    (directory / "block-000000.npz").write_bytes(b"partial")
-    raise _enospc(directory / "manifest.json")
-
-
-def _snapshot(path: Path):
-    if path.is_dir():
-        return {child.name: child.read_bytes()
-                for child in sorted(path.iterdir())}
-    return path.read_bytes()
-
-
 class TestFullDisk:
     @staticmethod
     def _check(monkeypatch, put, path, full_disk):
@@ -161,26 +147,22 @@ class TestFullDisk:
         stand_in)`` of ``full_disk`` patched in, a second put must fail
         cleanly and keep the stored entry."""
         put()
-        before = _snapshot(path)
+        before = path.read_bytes()
         monkeypatch.setattr(*full_disk)
         with pytest.raises(WorkloadError, match=re.escape(str(path))):
             put()
         monkeypatch.undo()
         assert not list(path.parent.glob("*.tmp.*"))
-        assert _snapshot(path) == before
+        assert path.read_bytes() == before
 
     def test_trace_npz(self, tmp_path, plain_trace, monkeypatch):
+        """An in-memory and an out-of-core trace, both put as ``.npz``."""
         cache = TraceCache(tmp_path)
-        self._check(monkeypatch, lambda: cache.put("e" * 24, plain_trace),
-                    cache.path_for("e" * 24),
-                    (TraceDataset, "to_npz", _full_disk_npz))
-
-    def test_trace_block_manifest(self, tmp_path, plain_trace, monkeypatch):
-        cache = TraceCache(tmp_path)
-        chunked = _chunked(plain_trace)
-        self._check(monkeypatch, lambda: cache.put("f" * 24, chunked),
-                    cache.manifest_dir_for("f" * 24),
-                    (TraceDataset, "to_block_manifest", _full_disk_manifest))
+        for key, trace in (("e" * 24, plain_trace),
+                           ("f" * 24, _chunked(plain_trace))):
+            self._check(monkeypatch, lambda: cache.put(key, trace),
+                        cache.path_for(key),
+                        (TraceDataset, "to_npz", _full_disk_npz))
 
     def test_transpile_summary(self, tmp_path, monkeypatch):
         cache = TranspileCache(tmp_path)

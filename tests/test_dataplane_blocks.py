@@ -1,4 +1,4 @@
-"""The out-of-core chunked data plane: blocks, budgets, spills, manifests.
+"""The out-of-core chunked data plane: blocks, budgets, spills, the cache.
 
 The golden anchor mirrors ``test_dataplane_golden``: a chunked dataset —
 any block size, spilled or resident — must be *value-identical* to the
@@ -6,11 +6,14 @@ plain in-RAM dataset for every analysis surface, and its ``.npz`` dump
 must be *byte-identical*.  On top of that the spill tests drive the full
 ``report`` / ``compare-scenarios`` paths under a resident-bytes budget far
 smaller than the column bytes and assert (via the governor's spill
-counter) that the run actually went out of core.
+counter) that the run actually went out of core, and the bound test
+checks that a budgeted cache put and get of a trace of more than 30 MB
+stay within a small multiple of the budget.
 """
 
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 
 from repro.analysis import reproduce_all
 from repro.analysis.compare import compare_suite
-from repro.core.exceptions import TraceSchemaError, WorkloadError
+from repro.core.exceptions import WorkloadError
 from repro.runner.cache import TraceCache, config_fingerprint
 from repro.runner.executor import run_study
 from repro.scenarios import resolve_scenarios, run_scenarios
@@ -115,9 +118,9 @@ class TestBlockwiseIdentity:
         sizes = [len(block) for block in chunked.iter_blocks()]
         assert sum(sizes) == len(plain_trace)
         assert all(size <= block_rows for size in sizes)
-        totals = chunked.map_blocks(lambda block: block.values("batch_size").sum(),
-                                    columns=["batch_size"])
-        assert int(sum(totals)) == int(plain_trace.values("batch_size").sum())
+        total = sum(int(block.values("batch_size").sum())
+                    for block in chunked.iter_blocks(columns=["batch_size"]))
+        assert total == int(plain_trace.values("batch_size").sum())
 
 
 # -- spilling under a tiny budget ------------------------------------------------------
@@ -183,77 +186,90 @@ class TestSpillUnderBudget:
             == json.dumps(baseline, sort_keys=True)
 
 
-# -- cache manifests -------------------------------------------------------------------
+# -- the one cache format -------------------------------------------------------------
 
 
 class TestCacheManifests:
-    def test_out_of_core_put_writes_manifest_and_round_trips(self, tmp_path,
-                                                             plain_trace):
+    """Every trace is cached as the same ``.npz``, budgeted or not."""
+
+    def test_out_of_core_put_writes_the_plain_npz(self, tmp_path,
+                                                   plain_trace):
         cache = TraceCache(tmp_path)
+        cache.put("p" * 24, plain_trace)
         key = "a" * 24
         chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
+        assert chunked.is_out_of_core
         path = cache.put(key, chunked)
-        assert path == cache.manifest_dir_for(key)
-        assert (path / "manifest.json").is_file()
-        assert not cache.path_for(key).exists()
+        assert path == cache.path_for(key)
+        assert [entry.path for entry in cache.cache_root.entries()
+                if entry.key == key] == [path]
+        assert path.read_bytes() == cache.path_for("p" * 24).read_bytes()
+        assert cache.get_bytes(key) == path.read_bytes()
 
+        budget = 2048
+        set_memory_budget(budget)
         loaded = cache.get(key)
-        assert loaded is not None
-        assert loaded.is_chunked
+        assert loaded is not None and loaded.is_chunked
         assert _records(loaded) == _records(plain_trace)
-        # No single-file byte representation for a manifest entry.
-        assert cache.get_bytes(key) is None
+        layout = TraceDataset.from_columns(
+            dict(plain_trace._columns), dict(plain_trace._vocabs))
+        assert [block.rows for block in loaded._blocks.blocks] \
+            == [block.rows for block in layout._blocks.blocks]
+        assert loaded.data_plane_stats()["resident_bytes"] <= budget
 
     def test_in_ram_put_stays_single_npz(self, tmp_path, plain_trace):
         cache = TraceCache(tmp_path)
         key = "b" * 24
         path = cache.put(key, plain_trace)
         assert path == cache.path_for(key)
-        assert not cache.manifest_dir_for(key).exists()
         assert cache.get_bytes(key) == path.read_bytes()
 
-    def test_put_replaces_other_format(self, tmp_path, plain_trace):
+
+# -- the budget as a bound on load and put ---------------------------------------------
+
+
+class TestBudgetBound:
+    """Under a 1 MiB budget, a cache get and put of a trace of more than
+    30 MB peak below 6 MiB: the budget, the blocks in flight and the
+    member readers' inflate state.  An unbudgeted get holds the columns
+    once, plus one read buffer."""
+
+    BUDGET = 1 << 20
+    BOUND = 6 << 20
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_put_and_get_peaks(self, tmp_path, plain_trace):
+        reps = -(-30_000_000 // plain_trace.column_nbytes())
+        tiled = TraceDataset.from_columns(
+            {name: np.tile(column, reps)
+             for name, column in plain_trace._columns.items()},
+            dict(plain_trace._vocabs), dict(plain_trace.metadata))
+        nbytes = tiled.column_nbytes()
+        assert nbytes >= 30_000_000
         cache = TraceCache(tmp_path)
-        key = "c" * 24
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
-        cache.put(key, chunked)
-        assert cache.manifest_dir_for(key).is_dir()
-        cache.put(key, plain_trace)
-        assert not cache.manifest_dir_for(key).exists()
-        assert cache.path_for(key).is_file()
+        plain_path = cache.put("p" * 24, tiled)
+        del tiled
 
-    def test_entries_evict_and_prune_handle_manifest_dirs(self, tmp_path,
-                                                          plain_trace):
-        cache = TraceCache(tmp_path)
-        key = "d" * 24
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
-        cache.put(key, chunked)
-        root = cache.cache_root
-        entries = root.entries()
-        assert [entry.key for entry in entries] == [key]
-        assert entries[0].path == cache.manifest_dir_for(key)
-        assert entries[0].size_bytes > 0
-        evicted = root.prune(0)
-        assert [entry.key for entry in evicted] == [key]
-        assert not cache.manifest_dir_for(key).exists()
-        assert root.entries() == []
+        loaded, peak = self._peak(lambda: cache.get("p" * 24))
+        assert len(loaded) == reps * len(plain_trace)
+        assert peak < 1.1 * nbytes, peak
+        del loaded
 
-    def test_manifest_schema_mismatch_raises(self, tmp_path, plain_trace):
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
-        directory = chunked.to_block_manifest(tmp_path / "manifest")
-        manifest = json.loads((directory / "manifest.json").read_text())
-        manifest["schema"] = -1
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(TraceSchemaError):
-            TraceDataset.from_block_manifest(directory)
-
-    def test_manifest_round_trip_without_cache(self, tmp_path, plain_trace):
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
-        directory = chunked.to_block_manifest(tmp_path / "manifest")
-        loaded = TraceDataset.from_block_manifest(directory, budget=2048)
-        assert loaded.is_chunked
-        assert _records(loaded) == _records(plain_trace)
-        assert dict(loaded.metadata) == dict(plain_trace.metadata)
+        set_memory_budget(self.BUDGET)
+        loaded, peak = self._peak(lambda: cache.get("p" * 24))
+        assert loaded.is_out_of_core
+        assert peak < self.BOUND, peak
+        path, peak = self._peak(lambda: cache.put("b" * 24, loaded))
+        assert peak < self.BOUND, peak
+        assert path.read_bytes() == plain_path.read_bytes()
 
 
 # -- the construction API redesign -----------------------------------------------------
@@ -266,15 +282,6 @@ class TestConstructionSurface:
             warnings.simplefilter("error", DeprecationWarning)
             built = TraceDataset.from_records(records)
         assert _records(built) == _records(plain_trace)
-
-    def test_from_blocks_builds_chunked_dataset(self, plain_trace):
-        blocks = [{name: block._columns[name] for name in block._columns}
-                  for block in plain_trace.iter_blocks(block_rows=32)]
-        dataset = TraceDataset.from_blocks(
-            blocks, dict(plain_trace._vocabs),
-            metadata=dict(plain_trace.metadata))
-        assert dataset.is_chunked
-        assert _records(dataset) == _records(plain_trace)
 
     def test_parse_byte_size(self):
         assert parse_byte_size(None) is None

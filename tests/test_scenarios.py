@@ -490,15 +490,24 @@ class TestScenarioCacheHit:
 
     CONFIG = dict(total_jobs=300, months=3, seed=7)
     BUDGET = 16 * 1024
+    #: the memory budget of the run that fills the cache
+    FILL_BUDGET = None
 
     @pytest.fixture
     def filled(self, tmp_path):
-        """A cache holding the baseline study, filled without a budget."""
+        """A cache holding the baseline study, filled under FILL_BUDGET."""
         config = TraceGeneratorConfig(**self.CONFIG)
         scenarios = resolve_scenarios(("baseline",))
-        cold = run_scenarios(scenarios, config, workers=1,
-                             cache_dir=tmp_path)
+        previous = get_memory_budget()
+        set_memory_budget(self.FILL_BUDGET)
+        try:
+            cold = run_scenarios(scenarios, config, workers=1,
+                                 cache_dir=tmp_path)
+        finally:
+            set_memory_budget(previous)
         assert not cold.runs[0].cache_hit
+        assert cold.runs[0].trace.is_out_of_core \
+            == (self.FILL_BUDGET is not None)
         return config, scenarios, cold.runs[0].trace
 
     def test_hit_honours_the_memory_budget(self, filled, tmp_path):
@@ -530,3 +539,9 @@ class TestScenarioCacheHit:
         np.testing.assert_array_equal(hit.trace.values("queue_seconds"),
                                       cold.values("queue_seconds"))
         assert hit.trace.records == cold.records
+
+
+class TestBudgetedScenarioCacheHit(TestScenarioCacheHit):
+    """The same hits, on an entry that a budgeted, out-of-core run wrote."""
+
+    FILL_BUDGET = TestScenarioCacheHit.BUDGET

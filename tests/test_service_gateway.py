@@ -29,6 +29,7 @@ from repro.service import (
     UnknownJobError,
     comparison_key,
 )
+from repro.workloads.blocks import get_memory_budget, set_memory_budget
 from repro.workloads.generator import TraceGeneratorConfig
 
 CONFIG = dict(total_jobs=60, months=3, seed=11)
@@ -164,6 +165,40 @@ class TestRoundTrip:
         events = list(client.events(final["job"]))
         tail = list(client.events(final["job"], since=events[2]["seq"]))
         assert tail == events[2:]
+
+
+class TestBudgetedService:
+    def test_a_budgeted_job_trace_is_fetchable(self, tmp_path):
+        """A service running under a memory budget smaller than the study's
+        columns serves a finished job's trace, byte-equal to the entry an
+        unbudgeted batch run writes."""
+        config = TraceGeneratorConfig(total_jobs=200, months=2, seed=7)
+        previous = get_memory_budget()
+        set_memory_budget(16 * 1024)
+        service = StudyService(config, workers=1, executors=1,
+                               cache_dir=tmp_path / "service")
+        server = service.make_server("127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = StudyServiceClient(
+            f"http://127.0.0.1:{server.server_address[1]}", tenant="acme")
+        try:
+            service.start()
+            final = client.wait(
+                client.submit({"scenarios": ["baseline"]})["job"],
+                timeout=120)
+            fingerprint = final["result"]["fingerprints"]["baseline"]
+            served = client.fetch_trace(fingerprint)
+        finally:
+            set_memory_budget(previous)
+            server.shutdown()
+            server.server_close()
+            service.stop()
+            thread.join(timeout=10)
+        batch = tmp_path / "batch"
+        run_scenarios(resolve_scenarios(["baseline"]), config, workers=1,
+                      num_shards=1, cache_dir=batch)
+        assert served == TraceCache(batch).path_for(fingerprint).read_bytes()
 
 
 class TestHttpErrors:
