@@ -1,13 +1,15 @@
 """Chunked column blocks, disk spill, and the resident-bytes governor.
 
-The out-of-core data plane stores a trace as an ordered sequence of
-:class:`ColumnBlock` objects — fixed-size row ranges whose columns live in
-one ``{name: ndarray}`` dict each.  A :class:`BlockStore` owns the sequence
+The data plane stores every trace as an ordered sequence of
+:class:`ColumnBlock` objects — row ranges whose columns live in one
+``{name: ndarray}`` dict each.  A :class:`BlockStore` owns the sequence
 and a :class:`ResidencyGovernor` enforces a configurable resident-bytes
-budget across every store that shares it: past the budget, least-recently
-used blocks are *spilled* to versioned ``.npz`` block files in the
-governor's private directory (or simply dropped when they were spilled
-before) and transparently re-read on the next access.
+budget across every store that shares it: past the budget,
+least-recently used blocks are *spilled* to a file of raw column bytes
+in the governor's private directory (or simply dropped when they were
+spilled before) and transparently re-read, CRC-checked, on the next
+access.  A governor tracks its blocks weakly, so a block nothing else
+holds leaves the accounting as soon as it is freed.
 
 The module is deliberately independent of :mod:`repro.workloads.trace`
 (which builds on it) — it knows nothing about job records, vocabularies or
@@ -16,19 +18,19 @@ derived columns, only about named arrays of equal length.
 The process-wide memory budget defaults to unlimited; set it with
 :func:`set_memory_budget`, the ``REPRO_MEMORY_BUDGET`` environment variable
 (bytes, with optional ``K``/``M``/``G`` suffix) or the CLI's
-``--memory-budget`` flag.  ``None`` disables spilling entirely — datasets
-then stay fully resident exactly like the pre-block data plane.
+``--memory-budget`` flag.  ``None`` disables spilling entirely: a trace
+is then one resident block under an unbudgeted governor.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import tempfile
 import threading
 import weakref
 import zipfile
+import zlib
 from functools import reduce
 from pathlib import Path
 from typing import (
@@ -44,11 +46,10 @@ from typing import (
 
 import numpy as np
 
-from repro.core.exceptions import TraceSchemaError, WorkloadError
+from repro.core.exceptions import WorkloadError
 from repro.telemetry import Tally, get_registry, get_tracer
 
 __all__ = [
-    "BLOCK_SCHEMA_VERSION",
     "BlockStore",
     "ColumnBlock",
     "DEFAULT_BLOCK_ROWS",
@@ -56,17 +57,10 @@ __all__ = [
     "ResidencyGovernor",
     "get_memory_budget",
     "parse_byte_size",
-    "read_block_column",
-    "read_block_file",
     "read_npz_member",
     "set_memory_budget",
-    "write_block_file",
     "write_npz_member",
 ]
-
-#: Version of the per-block ``.npz`` spill file layout; bump on
-#: incompatible changes.
-BLOCK_SCHEMA_VERSION = 1
 
 #: The residency event families: each governor tallies its own events
 #: into these, so ``/metrics`` exposes them (at zero) even in processes
@@ -75,8 +69,8 @@ _RESIDENCY_FAMILIES = {
     event: get_registry().counter(f"repro_residency_{event}_total",
                                   help=help_text)
     for event, help_text in (
-        ("spills", "Blocks spilled (written to a new block file)."),
-        ("loads", "Blocks re-read from their backing block file."),
+        ("spills", "Blocks spilled (written to a new spill file)."),
+        ("loads", "Blocks re-read from their spill file."),
         ("evictions", "Blocks released from memory (spilled or dropped)."),
     )
 }
@@ -95,9 +89,10 @@ get_registry().callback_gauge(
     "repro_residency_resident_bytes", _LIVE_GOVERNORS, _live_resident_bytes,
     help="Bytes held by resident blocks across live governors.")
 
-#: Default rows per block when chunking a trace.  Small enough that one
-#: block of the full column set stays in the tens of megabytes at the
-#: paper's record width, large enough that per-block overheads vanish.
+#: Most rows per block when a trace is cut under a budget.  Small enough
+#: that one block of the full column set stays in the tens of megabytes
+#: at the paper's record width, large enough that per-block overheads
+#: vanish.
 DEFAULT_BLOCK_ROWS = 65536
 
 _ENV_BUDGET = "REPRO_MEMORY_BUDGET"
@@ -143,9 +138,9 @@ _budget_lock = threading.Lock()
 def set_memory_budget(budget: Union[str, int, None]) -> Optional[int]:
     """Set the process-wide resident-bytes budget (None = unlimited).
 
-    Affects datasets *built after* the call: construction paths consult the
-    budget to decide whether to chunk into governed blocks.  Returns the
-    parsed byte value.
+    Affects datasets *built after* the call: construction paths give each
+    new dataset a governor of this budget and cut its blocks to fit it.
+    Returns the parsed byte value.
     """
     global _memory_budget
     parsed = parse_byte_size(budget)
@@ -177,7 +172,7 @@ def write_npz_member(archive: zipfile.ZipFile, member: str, length: int,
     in memory at once.  Timestamp and compression are fixed, and deflate
     output does not depend on how its input is split, so the bytes equal
     those of ``np.save`` on the concatenated chunks: the trace's ``.npz``
-    dump and spill block files are written byte-deterministically.
+    dump is written byte-deterministically.
     """
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {
@@ -269,54 +264,6 @@ def read_npz_member(archive: zipfile.ZipFile, member: str,
         reader.close()
 
 
-def write_block_file(path: Union[str, Path],
-                     arrays: Dict[str, np.ndarray], rows: int) -> None:
-    """Write one block as a versioned deterministic ``.npz`` file."""
-    header = np.asarray(
-        [json.dumps({"schema": BLOCK_SCHEMA_VERSION, "rows": rows})],
-        dtype=str)
-    with zipfile.ZipFile(path, "w",
-                         compression=zipfile.ZIP_DEFLATED) as archive:
-        write_npz_member(archive, "__block__", 1, header.dtype, [header])
-        for name in sorted(arrays):
-            array = arrays[name]
-            write_npz_member(archive, f"col__{name}", array.shape[0],
-                             array.dtype, [array])
-
-
-def _check_block_header(archive: zipfile.ZipFile, path: Path) -> int:
-    header = json.loads(str(read_npz_member(archive, "__block__", 1)[0]))
-    found = header.get("schema")
-    if found != BLOCK_SCHEMA_VERSION:
-        raise TraceSchemaError(
-            f"block file {path} was written with block schema {found!r} but "
-            f"this version reads schema {BLOCK_SCHEMA_VERSION}; regenerate "
-            f"the trace (or delete the file) to proceed")
-    return int(header.get("rows", 0))
-
-
-def read_block_file(path: Union[str, Path],
-                    names: Optional[Sequence[str]] = None
-                    ) -> Dict[str, np.ndarray]:
-    """Read (a subset of) one block file's columns."""
-    path = Path(path)
-    with zipfile.ZipFile(path) as archive:
-        _check_block_header(archive, path)
-        if names is None:
-            names = [member[len("col__"):-len(".npy")]
-                     for member in archive.namelist()
-                     if member.startswith("col__")]
-        return {name: read_npz_member(archive, f"col__{name}")
-                for name in names}
-
-
-def read_block_column(path: Union[str, Path], name: str) -> np.ndarray:
-    """Read a single column of one block file (one member decompressed)."""
-    path = Path(path)
-    with zipfile.ZipFile(path) as archive:
-        return read_npz_member(archive, f"col__{name}")
-
-
 # -- residency -------------------------------------------------------------------------
 
 class ResidencyGovernor:
@@ -325,21 +272,22 @@ class ResidencyGovernor:
     A governor is shared between a dataset and every subset/group derived
     from it, so the *combined* resident footprint of a whole analysis is
     what the budget bounds.  ``budget=None`` disables enforcement (blocks
-    are tracked but never released).
+    are tracked but never released).  Blocks are tracked weakly: the
+    governor never keeps a block alive, so a dropped subset's blocks
+    neither count against the budget nor get spilled.
     """
 
-    def __init__(self, budget: Optional[int] = None,
-                 spill_dir: Optional[Union[str, Path]] = None):
+    def __init__(self, budget: Optional[int] = None):
         if budget is not None and budget < 0:
             raise WorkloadError(f"budget must be >= 0, got {budget}")
         self.budget = budget
         self.spills = Tally(_RESIDENCY_FAMILIES["spills"])
         self.loads = Tally(_RESIDENCY_FAMILIES["loads"])
         self.evictions = Tally(_RESIDENCY_FAMILIES["evictions"])
-        self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        #: insertion-ordered resident set; dict preserves LRU order
-        self._resident: Dict["ColumnBlock", None] = {}
+        #: insertion-ordered resident set; its dict keeps LRU order
+        self._resident: "weakref.WeakKeyDictionary[ColumnBlock, None]" = \
+            weakref.WeakKeyDictionary()
         self._lock = threading.RLock()
         self._spill_seq = 0
         with _LIVE_LOCK:
@@ -351,15 +299,14 @@ class ResidencyGovernor:
             return sum(block.nbytes for block in self._resident)
 
     def spill_path(self) -> Path:
-        """A fresh path for one spill file (directory created lazily)."""
+        """A fresh path for one spill file in the governor's private
+        directory (made on first use under ``TMPDIR``)."""
         with self._lock:
-            if self._spill_dir is None:
+            if self._tmp is None:
                 self._tmp = tempfile.TemporaryDirectory(
                     prefix="repro-blocks-")
-                self._spill_dir = Path(self._tmp.name)
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
             self._spill_seq += 1
-            return self._spill_dir / f"spill-{self._spill_seq:06d}.npz"
+            return Path(self._tmp.name) / f"spill-{self._spill_seq:06d}.bin"
 
     def admit(self, block: "ColumnBlock") -> None:
         """Track a block that just became resident (most recently used)."""
@@ -411,12 +358,15 @@ class ResidencyGovernor:
 
 
 class ColumnBlock:
-    """One row range of a chunked trace: named equal-length arrays.
+    """One row range of a trace: named equal-length arrays.
 
     A block is either *resident* (``_arrays`` holds the column dict) or
-    *spilled* (``path`` points at the versioned block file the governor
-    spilled it to).  A block starts resident; once spilled, releasing it
-    again writes nothing.
+    *spilled* (``path`` names the file the governor spilled it to: the
+    columns' raw bytes end to end, each with its offset and CRC-32 in
+    ``_spilled``).  A block starts resident; once spilled, releasing it
+    again writes nothing.  The spill file is written and read by one
+    process and deleted with its block, so it carries no header or
+    version.
     """
 
     def __init__(self, governor: ResidencyGovernor,
@@ -426,6 +376,7 @@ class ColumnBlock:
         self.governor = governor
         self._arrays: Optional[Dict[str, np.ndarray]] = dict(arrays)
         self.path: Optional[Path] = None
+        self._spilled: Dict[str, Tuple[int, int]] = {}
         first = next(iter(self._arrays.values()), None)
         self.rows = int(rows if rows is not None
                         else (0 if first is None else first.shape[0]))
@@ -449,7 +400,7 @@ class ColumnBlock:
         if arrays is None:
             with get_tracer().span("blocks.load", rows=self.rows,
                                    nbytes=self.nbytes):
-                loaded = read_block_file(self.path, self.names)
+                loaded = self._read(self.names)
             self._arrays = loaded
             governor.loads.inc()
             governor.admit(self)
@@ -461,7 +412,7 @@ class ColumnBlock:
     def column(self, name: str) -> np.ndarray:
         """One column of the block.
 
-        A spilled block decompresses only the requested member — a
+        A spilled block reads only the requested column's bytes — a
         single-column scan over a spilled trace never touches the other
         columns and does not change the block's residency.
         """
@@ -471,7 +422,24 @@ class ColumnBlock:
         if arrays is not None:
             self.governor.touch(self)
             return arrays[name]
-        return read_block_column(self.path, name)
+        return self._read((name,))[name]
+
+    def _read(self, names: Sequence[str]) -> Dict[str, np.ndarray]:
+        """Columns read back from the spill file, each checked against its
+        length and CRC-32 (:class:`WorkloadError` when either differs)."""
+        arrays: Dict[str, np.ndarray] = {}
+        with open(self.path, "rb") as handle:
+            for name in names:
+                offset, crc = self._spilled[name]
+                handle.seek(offset)
+                array = np.fromfile(handle, dtype=self.dtypes[name],
+                                    count=self.rows)
+                if array.shape[0] != self.rows or zlib.crc32(array) != crc:
+                    raise WorkloadError(
+                        f"spill file {self.path} is damaged: column "
+                        f"{name!r} does not read back as written")
+                arrays[name] = array
+        return arrays
 
     def _release(self) -> None:
         """Drop the resident arrays, spilling first when not yet on disk.
@@ -482,10 +450,20 @@ class ColumnBlock:
         if self._arrays is None:
             return
         if self.path is None:
-            self.path = self.governor.spill_path()
+            path = self.governor.spill_path()
             with get_tracer().span("blocks.spill", rows=self.rows,
-                                   nbytes=self.nbytes):
-                write_block_file(self.path, self._arrays, self.rows)
+                                   nbytes=self.nbytes), \
+                    open(path, "wb") as handle:
+                offset = 0
+                for name in self.names:
+                    array = np.ascontiguousarray(self._arrays[name])
+                    handle.write(array)
+                    self._spilled[name] = (offset, zlib.crc32(array))
+                    offset += array.nbytes
+            self.path = path
+            # The file goes when the block does, not only with the
+            # governor's directory: a dropped subset leaves no file.
+            weakref.finalize(self, path.unlink, missing_ok=True)
             self.governor.spills.inc()
         self._arrays = None
         self.governor.evictions.inc()
@@ -530,9 +508,9 @@ class BlockStore:
             start += block.rows
 
     def column(self, name: str) -> np.ndarray:
-        """The full column, concatenated across blocks (one transient
-        array; spilled blocks stream their member without loading the
-        rest of their columns)."""
+        """The full column: a one-block store's own array, else one
+        transient concatenation (a spilled block reads only this column's
+        bytes, without loading the rest of its columns)."""
         if name not in self.names:
             raise KeyError(name)
         if len(self.blocks) == 1:
@@ -541,7 +519,7 @@ class BlockStore:
                                for block in self.blocks])
 
     def dtype(self, name: str) -> np.dtype:
-        """The dtype :meth:`column` returns, read from no block file."""
+        """The dtype :meth:`column` returns, read from no spill file."""
         return reduce(np.promote_types,
                       (block.dtypes[name] for block in self.blocks))
 

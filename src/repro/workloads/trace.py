@@ -20,16 +20,17 @@ magnitude faster and is written deterministically (same trace in, same
 bytes out) so on-disk caches stay byte-stable.  The ``.npz`` is the one
 on-disk trace format of the trace cache, with or without a memory budget.
 
-Out-of-core: when a resident-bytes budget is active (see
-:func:`repro.workloads.blocks.set_memory_budget`), a dataset is chunked
-into fixed-size :class:`~repro.workloads.blocks.ColumnBlock` rows that
-spill to versioned ``.npz`` block files past the budget and stream back on
-access.  :meth:`TraceDataset.iter_blocks` is the sanctioned full-scan
-path; column access, selection and group-by keep working unchanged on
-chunked datasets (they stream block-wise under the hood).  The ``.npz``
-dump is written and read a block at a time, so neither ever holds a whole
-column of a chunked trace, and its bytes are identical whether or not the
-dataset was chunked in memory.
+Blocks: every dataset holds its columns in one
+:class:`~repro.workloads.blocks.BlockStore`.  With no resident-bytes
+budget (see :func:`repro.workloads.blocks.set_memory_budget`) the store
+is one resident block under an unbudgeted governor.  Under a budget the
+rows are cut into :class:`~repro.workloads.blocks.ColumnBlock` row ranges,
+four of which fit in it, that spill to raw column files past the budget
+and stream back on access.  :meth:`TraceDataset.iter_blocks` is the
+sanctioned full-scan path; column access, selection and group-by stream
+block-wise under the hood.  Under a budget the ``.npz`` dump is written
+and read a block at a time, so neither ever holds a whole column, and its
+bytes do not depend on the block layout.
 """
 
 from __future__ import annotations
@@ -241,19 +242,40 @@ def _merge_categorical(
     return np.concatenate(remapped), merged
 
 
-def _block_rows_for(rows: int, column_nbytes: int,
-                    budget: Optional[int]) -> int:
-    """Rows per block when a trace of ``rows`` rows is chunked.
+def _cut_blocks(store: BlockStore, rows: int, column_nbytes: int,
+                read: Callable[[int, int], Dict[str, np.ndarray]],
+                ) -> BlockStore:
+    """Fill ``store`` with ``rows`` rows; ``read(start, count)`` gives
+    each block's arrays, in row order.
 
-    Under a budget, blocks are cut so that four fit in it at once and the
-    governor can actually rotate (spill and reload) them.
+    With no budget the rows are one block (an empty trace is one empty
+    block, so every store knows its columns).  Under a budget, blocks are
+    cut so that four fit in it at once and the governor can actually
+    rotate (spill and reload) them.
     """
-    rows_per_block = DEFAULT_BLOCK_ROWS
+    budget = store.governor.budget
+    rows_per_block = max(rows, 1)
     if budget is not None and rows:
         bytes_per_row = max(1, column_nbytes // rows)
-        rows_per_block = min(rows_per_block,
+        rows_per_block = min(DEFAULT_BLOCK_ROWS,
                              max(1, budget // (4 * bytes_per_row)))
-    return rows_per_block
+    for start in range(0, max(rows, 1), rows_per_block):
+        count = min(rows_per_block, rows - start)
+        store.append_arrays(read(start, count), rows=count)
+    return store
+
+
+def _store_columns(columns: Dict[str, np.ndarray],
+                   governor: Optional[ResidencyGovernor] = None,
+                   ) -> BlockStore:
+    """Full columns as a block store under ``governor`` (by default, a
+    new one of the process-wide budget)."""
+    return _cut_blocks(
+        BlockStore(governor), len(columns["month_index"]),
+        sum(column.nbytes for column in columns.values()),
+        lambda start, count: {
+            name: np.ascontiguousarray(column[start:start + count])
+            for name, column in columns.items()})
 
 
 def _parse_npz_header(text: str, path: Path) -> Dict[str, object]:
@@ -330,7 +352,7 @@ def merge_shard_columns(
     payloads = [p for p in payloads if p is not None]
     if not payloads or sum(p.rows for p in payloads) == 0:
         columns, vocabs = columns_from_records([])
-        return TraceDataset._from_columns(columns, vocabs, metadata)
+        return TraceDataset.from_columns(columns, vocabs, metadata)
     columns: Dict[str, np.ndarray] = {}
     vocabs: Dict[str, Tuple[str, ...]] = {}
     for name in _CATEGORICAL_COLUMNS:
@@ -344,43 +366,6 @@ def merge_shard_columns(
     order = np.lexsort((columns["job_id"], columns["submit_time"]))
     columns = {name: column[order] for name, column in columns.items()}
     return TraceDataset.from_columns(columns, vocabs, metadata)
-
-
-class _BlockColumns(dict):
-    """Column mapping over a :class:`~repro.workloads.blocks.BlockStore`.
-
-    Presents the same ``{name: ndarray}`` surface the dataset's plain dict
-    backend does, but a column is concatenated from the store's blocks on
-    every access and never cached — the resident-bytes budget stays in
-    charge of what lives in memory.
-    """
-
-    def __init__(self, store: BlockStore):
-        super().__init__()
-        self._store = store
-
-    def __missing__(self, name: str) -> np.ndarray:
-        if name not in self._store.names:
-            raise KeyError(name)
-        return self._store.column(name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._store.names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.names)
-
-    def __len__(self) -> int:
-        return len(self._store.names)
-
-    def keys(self) -> Tuple[str, ...]:  # type: ignore[override]
-        return self._store.names
-
-    def items(self):  # type: ignore[override]
-        return [(name, self[name]) for name in self._store.names]
-
-    def values(self):  # type: ignore[override]
-        return [self[name] for name in self._store.names]
 
 
 #: stored columns each derived column is computed from (block streaming
@@ -405,105 +390,49 @@ class TraceDataset:
     """
 
     def __init__(self, *, metadata: Optional[Dict[str, object]] = None):
-        self._init_from_records([], metadata)
+        columns, vocabs = columns_from_records([])
+        self._attach(_store_columns(columns), vocabs, metadata)
 
     # -- construction ------------------------------------------------------------------
 
-    def _init_from_records(self, rows: List[JobRecord],
-                           metadata: Optional[Dict[str, object]]) -> None:
+    def _attach(self, store: BlockStore, vocabs: Dict[str, Tuple[str, ...]],
+                metadata: Optional[Dict[str, object]]) -> "TraceDataset":
+        """The one constructor: a dataset is its store of stored columns,
+        the categorical vocabularies and the metadata."""
         self.metadata: Dict[str, object] = dict(metadata or {})
-        columns, vocabs = columns_from_records(rows)
-        self._columns = columns
-        self._vocabs = vocabs
+        self._store = store
+        self._vocabs = dict(vocabs)
         self._derived: Dict[str, np.ndarray] = {}
-        self._row_count: Optional[int] = None
-        self._blocks: Optional[BlockStore] = None
-        if rows and get_memory_budget() is not None:
-            self._chunk_in_place()
+        return self
+
+    @classmethod
+    def _from_store(cls, store: BlockStore,
+                    vocabs: Dict[str, Tuple[str, ...]],
+                    metadata: Optional[Dict[str, object]] = None,
+                    ) -> "TraceDataset":
+        return cls.__new__(cls)._attach(store, vocabs, metadata)
 
     @classmethod
     def from_records(cls, records: Optional[Iterable[JobRecord]] = None,
                      metadata: Optional[Dict[str, object]] = None,
                      ) -> "TraceDataset":
         """Build a dataset from row records (the sanctioned spelling)."""
-        dataset = cls.__new__(cls)
-        dataset._init_from_records(list(records or []), metadata)
-        return dataset
-
-    @classmethod
-    def _from_columns(cls, columns: Dict[str, np.ndarray],
-                      vocabs: Dict[str, Tuple[str, ...]],
-                      metadata: Optional[Dict[str, object]] = None,
-                      ) -> "TraceDataset":
-        dataset = cls.__new__(cls)
-        dataset.metadata = dict(metadata or {})
-        dataset._columns = columns
-        dataset._vocabs = dict(vocabs)
-        dataset._derived = {}
-        dataset._row_count = None
-        dataset._blocks = None
-        return dataset
+        columns, vocabs = columns_from_records(list(records or []))
+        return cls.from_columns(columns, vocabs, metadata)
 
     @classmethod
     def from_columns(cls, columns: Dict[str, np.ndarray],
                      vocabs: Dict[str, Tuple[str, ...]],
                      metadata: Optional[Dict[str, object]] = None,
                      ) -> "TraceDataset":
-        """Build a dataset from full columns, chunking under a budget."""
-        dataset = cls._from_columns(columns, vocabs, metadata)
-        if len(dataset) and get_memory_budget() is not None:
-            dataset._chunk_in_place()
-        return dataset
-
-    @classmethod
-    def _from_block_store(cls, store: BlockStore,
-                          vocabs: Dict[str, Tuple[str, ...]],
-                          metadata: Optional[Dict[str, object]] = None,
-                          ) -> "TraceDataset":
-        dataset = cls.__new__(cls)
-        dataset.metadata = dict(metadata or {})
-        dataset._columns = _BlockColumns(store)
-        dataset._vocabs = dict(vocabs)
-        dataset._derived = {}
-        dataset._row_count = store.rows
-        dataset._blocks = store
-        return dataset
-
-    def _chunk_in_place(self, block_rows: Optional[int] = None,
-                        governor: Optional[ResidencyGovernor] = None) -> None:
-        """Re-back a plain (fully resident) dataset with a block store."""
-        size = len(self)
-        columns = self._columns
-        if block_rows:
-            rows_per_block = max(1, int(block_rows))
-        else:
-            budget = (governor.budget if governor is not None
-                      else get_memory_budget())
-            rows_per_block = _block_rows_for(
-                size, sum(column.nbytes for column in columns.values()),
-                budget)
-        store = BlockStore(governor)
-        for start in range(0, max(size, 1), rows_per_block):
-            stop = min(start + rows_per_block, size)
-            store.append_arrays({
-                name: np.ascontiguousarray(column[start:stop])
-                for name, column in columns.items()
-            }, rows=stop - start)
-        self._columns = _BlockColumns(store)
-        self._derived = {}
-        self._row_count = store.rows
-        self._blocks = store
+        """Build a dataset from full columns: one resident block with no
+        memory budget, governed blocks cut to fit one."""
+        return cls._from_store(_store_columns(columns), vocabs, metadata)
 
     # -- container protocol ------------------------------------------------------------
 
     def __len__(self) -> int:
-        # Cached so a chunked dataset does not gather a column from its
-        # blocks just to learn the row count.
-        count = self._row_count
-        if count is None:
-            count = int(self._columns["month_index"].shape[0])
-            self._row_count = count
-        return count
+        return self._store.rows
 
     def __iter__(self) -> Iterator[JobRecord]:
         if len(self) == 0:
@@ -523,7 +452,11 @@ class TraceDataset:
         return self._record_at(i)
 
     def _record_at(self, i: int) -> JobRecord:
-        columns = self._columns
+        for start, stop, block in self._store.iter_ranges():
+            if i < stop:
+                break
+        columns = block.arrays()
+        i -= start
         vocabs = self._vocabs
         kwargs: Dict[str, object] = {}
         for name in _INT_COLUMNS:
@@ -550,74 +483,42 @@ class TraceDataset:
         self.extend([record])
 
     def extend(self, records: Iterable[JobRecord]) -> None:
-        """Append rows (rebuilds the affected columns; not a hot path)."""
+        """Append rows, re-cutting the blocks under the dataset's own
+        governor (rebuilds every column; not a hot path)."""
         rows = list(records)
         if not rows:
             return
-        if self._blocks is not None:
-            self._materialise_in_place()
         new_columns, new_vocabs = columns_from_records(rows)
-        for name in (_INT_COLUMNS + _FLOAT_COLUMNS + _OPTIONAL_FLOAT_COLUMNS
-                     + _BOOL_COLUMNS):
-            self._columns[name] = np.concatenate(
-                [self._columns[name], new_columns[name]])
-        for name in _STRING_COLUMNS:
-            self._columns[name] = np.concatenate(
-                [np.asarray(self._columns[name], dtype=str),
-                 np.asarray(new_columns[name], dtype=str)])
-        for name in _CATEGORICAL_COLUMNS:
-            self._columns[name], self._vocabs[name] = _merge_categorical([
-                (self._columns[name], self._vocabs[name]),
-                (new_columns[name], new_vocabs[name]),
-            ])
+        store = self._store
+        columns: Dict[str, np.ndarray] = {}
+        for name in store.names:
+            if name in _CATEGORICAL_COLUMNS:
+                columns[name], self._vocabs[name] = _merge_categorical([
+                    (store.column(name), self._vocabs[name]),
+                    (new_columns[name], new_vocabs[name]),
+                ])
+            else:
+                columns[name] = np.concatenate([store.column(name),
+                                                new_columns[name]])
+        self._store = _store_columns(columns, store.governor)
         self._derived.clear()
-        self._row_count = None
 
-    def _materialise_in_place(self) -> None:
-        """Replace the block backend with plain fully resident columns."""
-        store = self._blocks
-        if store is None:
-            return
-        self._columns = {name: store.column(name) for name in store.names}
-        self._derived = {}
-        self._blocks = None
-
-    # -- the chunked data plane --------------------------------------------------------
-
-    @property
-    def is_chunked(self) -> bool:
-        """True when the dataset is backed by governed column blocks."""
-        return self._blocks is not None
+    # -- the block data plane ----------------------------------------------------------
 
     @property
     def is_out_of_core(self) -> bool:
         """True when the column bytes exceed the dataset's budget."""
-        store = self._blocks
-        return (store is not None
-                and store.governor.budget is not None
-                and store.total_nbytes > store.governor.budget)
+        store = self._store
+        budget = store.governor.budget
+        return budget is not None and store.total_nbytes > budget
 
     def column_nbytes(self) -> int:
         """Total stored-column bytes (resident or spilled)."""
-        store = self._blocks
-        if store is not None:
-            return store.total_nbytes
-        return sum(column.nbytes for column in self._columns.values())
+        return self._store.total_nbytes
 
     def data_plane_stats(self) -> Dict[str, object]:
-        """Residency and spill counters (all zero for a plain dataset)."""
-        store = self._blocks
-        if store is None:
-            return {
-                "chunked": False,
-                "blocks": 1 if len(self) else 0,
-                "rows": len(self),
-                "total_bytes": self.column_nbytes(),
-                "spills": 0,
-                "loads": 0,
-                "evictions": 0,
-            }
-        return {"chunked": True, **store.stats()}
+        """The store's block, residency and spill counters."""
+        return self._store.stats()
 
     @staticmethod
     def _stored_dependencies(names: Optional[Sequence[str]]
@@ -636,45 +537,25 @@ class TraceDataset:
         return tuple(needed)
 
     def iter_blocks(self, columns: Optional[Sequence[str]] = None,
-                    block_rows: Optional[int] = None,
                     ) -> Iterator["TraceDataset"]:
-        """Yield the dataset as resident per-block datasets, in row order.
+        """Yield the dataset's blocks as resident datasets, in row order.
 
         This is the sanctioned full-scan path: each yielded block is a
         small fully resident :class:`TraceDataset` (sharing the parent's
         vocabularies, so codes and categories line up) and only one block's
         arrays need to be in memory at a time.  ``columns`` restricts which
         stored columns are materialised (derived names pull in their
-        inputs); a spilled block then decompresses only those members.
-        ``block_rows`` controls the chunking of *plain* datasets (chunked
-        datasets always yield their physical blocks).
+        inputs); a spilled block then reads only those columns.  A view's
+        governor is unbudgeted: its arrays belong to a parent block that
+        the parent's governor already counts.
         """
         names = self._stored_dependencies(columns)
-        store = self._blocks
-        if store is not None:
-            wanted = tuple(names if names is not None else store.names)
-            for start, stop, block in store.iter_ranges():
-                if names is None:
-                    arrays = dict(block.arrays())
-                else:
-                    arrays = {name: block.column(name) for name in wanted}
-                yield self._block_view(arrays, block.rows)
-            return
-        size = len(self)
-        rows_per_block = max(1, int(block_rows or DEFAULT_BLOCK_ROWS))
-        wanted = tuple(names if names is not None
-                       else tuple(self._columns.keys()))
-        for start in range(0, size, rows_per_block):
-            stop = min(start + rows_per_block, size)
-            arrays = {name: self._columns[name][start:stop]
-                      for name in wanted}
-            yield self._block_view(arrays, stop - start)
-
-    def _block_view(self, arrays: Dict[str, np.ndarray],
-                    rows: int) -> "TraceDataset":
-        view = TraceDataset._from_columns(arrays, self._vocabs)
-        view._row_count = rows
-        return view
+        for block in self._store.blocks:
+            arrays = block.arrays() if names is None \
+                else {name: block.column(name) for name in names}
+            view = BlockStore(ResidencyGovernor())
+            view.append_arrays(arrays, rows=block.rows)
+            yield TraceDataset._from_store(view, self._vocabs)
 
     def grouped_values(self, by: str, name: str,
                        drop_missing: bool = True
@@ -690,7 +571,8 @@ class TraceDataset:
         parts: Dict[object, List[np.ndarray]] = {}
         categorical = by in _CATEGORICAL_COLUMNS
         for block in self.iter_blocks(columns=[by, name]):
-            keys = block._columns[by] if categorical else block.values(by)
+            keys = block._store.column(by) if categorical \
+                else block.values(by)
             if keys.shape[0] == 0:
                 continue
             if not categorical and keys.dtype.kind == "f" \
@@ -726,12 +608,12 @@ class TraceDataset:
         whole columns and cached.  The returned array is a view of dataset
         state — do not mutate it.
         """
-        columns = self._columns
-        # Chunked datasets never cache full-length arrays on the dataset —
-        # the resident-bytes budget governs what stays in memory, so every
-        # values() call re-streams from the blocks (transient result).
-        cache = self._derived if self._blocks is None else None
-        if name in columns:
+        store = self._store
+        # Under a budget nothing full-length is cached on the dataset —
+        # the budget governs what stays in memory, so every values() call
+        # re-streams from the blocks (transient result).
+        cache = self._derived if store.governor.budget is None else None
+        if name in store.names:
             if name in _CATEGORICAL_COLUMNS:
                 cached = cache.get(name) if cache is not None else None
                 if cached is None:
@@ -739,11 +621,11 @@ class TraceDataset:
                     if len(self._vocabs[name]) == 0:
                         cached = np.asarray([], dtype="<U1")
                     else:
-                        cached = vocab[columns[name]]
+                        cached = vocab[store.column(name)]
                     if cache is not None:
                         cache[name] = cached
                 return cached
-            return columns[name]
+            return store.column(name)
         if name in _DERIVED_COLUMNS:
             cached = cache.get(name) if cache is not None else None
             if cached is None:
@@ -757,35 +639,35 @@ class TraceDataset:
         # Each branch touches only the stored columns it needs (matching
         # _DERIVED_INPUTS), so block-wise scans of one derived column only
         # materialise that column's inputs.
-        columns = self._columns
+        column = self._store.column
         with np.errstate(divide="ignore", invalid="ignore"):
             if name == "queue_minutes":
-                return columns["queue_seconds"] / 60.0
+                return column("queue_seconds") / 60.0
             if name == "run_minutes":
-                return columns["run_seconds"] / 60.0
+                return column("run_seconds") / 60.0
             if name == "queue_to_run_ratio":
-                queue = columns["queue_seconds"]
-                run = columns["run_seconds"]
+                queue = column("queue_seconds")
+                run = column("run_seconds")
                 valid = ~np.isnan(queue) & (run > 0)
                 return np.where(valid, queue / run, np.nan)
             if name == "per_circuit_queue_seconds":
-                batch = columns["batch_size"]
+                batch = column("batch_size")
                 return np.where(batch != 0,
-                                columns["queue_seconds"] / batch, np.nan)
+                                column("queue_seconds") / batch, np.nan)
             if name == "per_circuit_run_seconds":
-                batch = columns["batch_size"]
+                batch = column("batch_size")
                 return np.where(batch != 0,
-                                columns["run_seconds"] / batch, np.nan)
+                                column("run_seconds") / batch, np.nan)
             if name == "utilization":
-                qubits = columns["machine_qubits"]
-                width = columns["circuit_width"]
+                qubits = column("machine_qubits")
+                width = column("circuit_width")
                 return np.where(
                     qubits > 0,
                     np.minimum(1.0, width / np.maximum(qubits, 1)),
                     0.0,
                 )
             if name == "total_trials":
-                return columns["batch_size"] * columns["shots"]
+                return column("batch_size") * column("shots")
             if name == "is_done":
                 return self.mask_equal("status", JobStatus.DONE.value)
         raise WorkloadError(f"unknown column {name!r}")  # pragma: no cover
@@ -824,14 +706,14 @@ class TraceDataset:
                 code = vocab.index(value)  # type: ignore[arg-type]
             except ValueError:
                 return np.zeros(len(self), dtype=bool)
-            return self._columns[name] == code
+            return self._store.column(name) == code
         return self.values(name) == value
 
     def value_counts(self, name: str) -> Dict[object, int]:
         """Occurrence counts of each present value of a column."""
         if name in _CATEGORICAL_COLUMNS:
             vocab = self._vocabs[name]
-            counts = np.bincount(self._columns[name],
+            counts = np.bincount(self._store.column(name),
                                  minlength=max(len(vocab), 1))
             return {vocab[code]: int(count)
                     for code, count in enumerate(counts[:len(vocab)])
@@ -845,15 +727,6 @@ class TraceDataset:
 
     def _subset(self, selector: np.ndarray,
                 metadata: Optional[Dict[str, object]] = None) -> "TraceDataset":
-        if self._blocks is not None:
-            return self._subset_blocks(selector, metadata)
-        columns = {name: column[selector]
-                   for name, column in self._columns.items()}
-        return TraceDataset._from_columns(columns, self._vocabs, metadata)
-
-    def _subset_blocks(self, selector: np.ndarray,
-                       metadata: Optional[Dict[str, object]] = None
-                       ) -> "TraceDataset":
         """Block-streamed row selection; the child shares the governor.
 
         Ascending selections (boolean masks, sorted index arrays — every
@@ -861,34 +734,34 @@ class TraceDataset:
         block each, so peak memory stays O(block).  An unsorted ``take``
         gathers column-at-a-time instead, preserving the requested order.
         """
-        store = self._blocks
+        store = self._store
         selector = np.asarray(selector)
         if selector.dtype == bool:
             indices = np.flatnonzero(selector)
         else:
-            indices = selector.astype(np.int64, copy=False)
             size = len(self)
+            indices = selector.astype(np.int64, copy=False)
+            if indices.size and (indices.min() < -size
+                                 or indices.max() >= size):
+                raise IndexError("record index out of range")
             indices = np.where(indices < 0, indices + size, indices)
-        ascending = bool(np.all(np.diff(indices) >= 0)) \
-            if indices.size > 1 else True
         child = BlockStore(store.governor)
-        if ascending:
+        if np.all(indices[1:] >= indices[:-1]):
             for start, stop, block in store.iter_ranges():
-                local = indices[(indices >= start) & (indices < stop)] - start
-                if local.size == 0 and child.blocks:
+                low, high = np.searchsorted(indices, (start, stop))
+                if low == high and child.blocks:
                     continue
-                arrays = block.arrays()
+                local = indices[low:high] - start
                 child.append_arrays(
                     {name: np.ascontiguousarray(array[local])
-                     for name, array in arrays.items()},
+                     for name, array in block.arrays().items()},
                     rows=int(local.size))
                 store.governor.enforce()
         else:
-            gathered: Dict[str, np.ndarray] = {}
-            for name in store.names:
-                gathered[name] = store.column(name)[indices]
-            child.append_arrays(gathered, rows=int(indices.size))
-        return TraceDataset._from_block_store(child, self._vocabs, metadata)
+            child.append_arrays(
+                {name: store.column(name)[indices] for name in store.names},
+                rows=int(indices.size))
+        return TraceDataset._from_store(child, self._vocabs, metadata)
 
     def where(self, mask: np.ndarray) -> "TraceDataset":
         """Vectorised row selection by boolean mask (keeps metadata)."""
@@ -915,7 +788,7 @@ class TraceDataset:
 
     def completed(self) -> "TraceDataset":
         """Jobs that reached a terminal state and actually ran (have run time)."""
-        return self.where(self._columns["run_seconds"] > 0)
+        return self.where(self._store.column("run_seconds") > 0)
 
     def successful(self) -> "TraceDataset":
         return self.where(self.mask_equal("status", JobStatus.DONE.value))
@@ -931,7 +804,7 @@ class TraceDataset:
 
     def _present_categories(self, name: str) -> List[str]:
         vocab = self._vocabs[name]
-        present = np.unique(self._columns[name])
+        present = np.unique(self._store.column(name))
         return [vocab[int(code)] for code in present]
 
     def group_by(self, name: str) -> Dict[object, "TraceDataset"]:
@@ -940,15 +813,15 @@ class TraceDataset:
         Keys are sorted; each subset preserves row order.  Subsets share the
         parent's categorical vocabularies, so codes remain comparable.
 
-        One stable sort reorders every column once; the per-group datasets
-        are then contiguous slices (views), so the cost is independent of
-        the number of groups rather than one full-column scan per group.
+        One stable sort orders the keys; each group is then an ascending
+        selection (the sort keeps a group's rows in trace order), streamed
+        a parent block at a time into blocks that share the governor.
         """
         size = len(self)
         if size == 0:
             return {}
         if name in _CATEGORICAL_COLUMNS:
-            keys = self._columns[name]
+            keys = self._store.column(name)
             vocab = self._vocabs[name]
 
             def decode(key: object) -> object:
@@ -966,25 +839,9 @@ class TraceDataset:
         boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
         starts = np.concatenate([[0], boundaries])
         ends = np.concatenate([boundaries, [size]])
-        if self._blocks is not None:
-            # Chunked path: each group is a block-streamed ascending
-            # selection (stable argsort keeps within-group indices sorted),
-            # so no more than one parent block's columns are resident at a
-            # time and the group datasets share the governor's budget.
-            groups_chunked: Dict[object, "TraceDataset"] = {}
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                key = decode(sorted_keys[start].item())
-                groups_chunked[key] = self._subset_blocks(order[start:end])
-            return groups_chunked
-        sorted_columns = {column_name: column[order]
-                          for column_name, column in self._columns.items()}
-        groups: Dict[object, "TraceDataset"] = {}
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            key = decode(sorted_keys[start].item())
-            columns = {column_name: column[start:end]
-                       for column_name, column in sorted_columns.items()}
-            groups[key] = TraceDataset._from_columns(columns, self._vocabs)
-        return groups
+        return {decode(sorted_keys[start].item()):
+                self._subset(order[start:end])
+                for start, end in zip(starts.tolist(), ends.tolist())}
 
     def group_by_machine(self) -> Dict[str, "TraceDataset"]:
         return self.group_by("machine")
@@ -995,7 +852,7 @@ class TraceDataset:
     # -- aggregate summaries -------------------------------------------------------------
 
     def total_circuits(self) -> int:
-        return int(self._columns["batch_size"].sum())
+        return int(self._store.column("batch_size").sum())
 
     def total_trials(self) -> int:
         return int(self.values("total_trials").sum())
@@ -1052,10 +909,10 @@ class TraceDataset:
 
         The member order, timestamps and compression are fixed, so the same
         trace always produces the same bytes — a requirement of the on-disk
-        trace cache's byte-stability guarantee.  A chunked dataset writes
-        each column member block by block, so the dump holds one block's
-        column at a time, never a whole column; a spilled block
-        decompresses only that member.
+        trace cache's byte-stability guarantee.  Each column member is
+        written block by block, so the dump holds one block's column at a
+        time, never a whole column; a spilled block reads only that
+        column.
         """
         rows = len(self)
         header = json.dumps({
@@ -1063,11 +920,11 @@ class TraceDataset:
             "rows": rows,
             "metadata": self.metadata,
         })
+        store = self._store
         members = sorted(
-            [f"col__{name}" for name in self._columns.keys()]
+            [f"col__{name}" for name in store.names]
             + [f"vocab__{name}" for name in self._vocabs]
             + ["__meta__"])
-        store = self._blocks
         with zipfile.ZipFile(path, "w",
                              compression=zipfile.ZIP_DEFLATED) as archive:
             for member in members:
@@ -1076,8 +933,6 @@ class TraceDataset:
                     array = _string_array([header])
                 elif kind == "vocab":
                     array = _string_array(self._vocabs[name])
-                elif store is None:
-                    array = self._columns[name]
                 else:
                     write_npz_member(
                         archive, member, rows, store.dtype(name),
@@ -1091,10 +946,11 @@ class TraceDataset:
         """Load a trace written by :meth:`to_npz`.
 
         The dataset never goes back to the file.  With no memory budget
-        each column is read whole; under one, every column member is read
-        in step, one block of rows at a time, into governed blocks laid out
-        as :meth:`from_columns` would chunk the same columns, so no whole
-        column is ever resident.
+        each column is read whole, one member at a time, into one block
+        (reading in step would hold every member's inflate state at once);
+        under one, every column member is read in step, one block of rows
+        at a time, into governed blocks laid out as :meth:`from_columns`
+        would cut the same columns, so no whole column is ever resident.
 
         Raises :class:`~repro.core.exceptions.TraceSchemaError` (a
         ``ValueError`` subclass) when the column-layout schema does not
@@ -1117,32 +973,27 @@ class TraceDataset:
                 for name in _CATEGORICAL_COLUMNS
             }
             metadata = header.get("metadata", {})
-            budget = get_memory_budget()
-            if budget is None or rows == 0:
+            if get_memory_budget() is None:
                 columns = {name: read_npz_member(archive, f"col__{name}",
                                                  rows)
                            for name in _NPZ_READ_ORDER}
-                dataset = cls._from_columns(columns, vocabs, metadata)
-                dataset._row_count = rows
-                return dataset
+                return cls.from_columns(columns, vocabs, metadata)
             readers: Dict[str, NpyMemberReader] = {}
             try:
                 for name in _NPZ_READ_ORDER:
                     readers[name] = NpyMemberReader(
                         archive, f"col__{name}", rows)
-                rows_per_block = _block_rows_for(
-                    rows, sum(rows * reader.dtype.itemsize
-                              for reader in readers.values()), budget)
-                store = BlockStore()
-                for start in range(0, rows, rows_per_block):
-                    count = min(rows_per_block, rows - start)
-                    store.append_arrays(
-                        {name: reader.read(count)
-                         for name, reader in readers.items()}, rows=count)
+                store = _cut_blocks(
+                    BlockStore(), rows,
+                    sum(rows * reader.dtype.itemsize
+                        for reader in readers.values()),
+                    lambda start, count: {
+                        name: reader.read(count)
+                        for name, reader in readers.items()})
             finally:
                 for reader in readers.values():
                     reader.close()
-        return cls._from_block_store(store, vocabs, metadata)
+        return cls._from_store(store, vocabs, metadata)
 
     # -- Arrow / Parquet export --------------------------------------------------------
 
@@ -1171,7 +1022,7 @@ class TraceDataset:
         arrays = []
         names = []
         for name in _STORED_COLUMNS:
-            column = self._columns[name]
+            column = self._store.column(name)
             if name in _CATEGORICAL_COLUMNS:
                 vocab = list(self._vocabs[name])
                 array = pa.DictionaryArray.from_arrays(

@@ -21,9 +21,8 @@ from repro.__main__ import main
 from repro.core.cacheroot import CacheRoot
 from repro.runner import TraceCache, config_fingerprint, run_study
 from repro.service import ResultStore
-from repro.workloads.blocks import ResidencyGovernor
 from repro.workloads.generator import TraceGeneratorConfig
-from repro.workloads.trace import TraceDataset
+from blockcut import chunked_copy
 
 CONFIGS = [TraceGeneratorConfig(total_jobs=40, months=2, seed=seed)
            for seed in (1, 2, 3)]
@@ -183,10 +182,7 @@ class TestResultStore:
         source = run_study(config=CONFIGS[0], workers=1).trace
         traces = []
         for _ in range(2):
-            trace = TraceDataset.from_records(
-                source.records, metadata=dict(source.metadata))
-            trace._chunk_in_place(block_rows=8,
-                                  governor=ResidencyGovernor(1024))
+            trace = chunked_copy(source, 8, budget=1024)
             assert trace.is_out_of_core
             traces.append(trace)
         both_filled = threading.Barrier(2, timeout=30)

@@ -22,9 +22,9 @@ from repro.core.exceptions import WorkloadError
 from repro.runner import TraceCache, run_study
 from repro.service import ResultStore
 from repro.transpiler.cache import TranspileCache, TranspileSummary
-from repro.workloads.blocks import ResidencyGovernor
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
+from blockcut import chunked_copy
 
 SUMMARY = TranspileSummary(
     family="ghz", width=3, machine="ibmq_athens", level=1, seed=11,
@@ -42,10 +42,7 @@ def plain_trace():
 
 
 def _chunked(trace):
-    dataset = TraceDataset.from_records(list(trace.records),
-                                        metadata=dict(trace.metadata))
-    dataset._chunk_in_place(block_rows=16,
-                            governor=ResidencyGovernor(2048))
+    dataset = chunked_copy(trace, 16, budget=2048)
     assert dataset.is_out_of_core
     return dataset
 

@@ -27,13 +27,17 @@ from repro.runner.executor import run_study
 from repro.scenarios import resolve_scenarios, run_scenarios
 from repro.service.client import StudyServiceClient
 from repro.workloads.blocks import (
-    ResidencyGovernor,
     get_memory_budget,
     parse_byte_size,
     set_memory_budget,
 )
 from repro.workloads.generator import TraceGeneratorConfig
-from repro.workloads.trace import TraceDataset
+from repro.workloads.trace import (
+    ShardColumns,
+    TraceDataset,
+    merge_shard_columns,
+)
+from blockcut import chunked_copy, stored_columns
 
 CONFIG = dict(total_jobs=120, months=2, seed=19)
 
@@ -56,23 +60,15 @@ def _records(trace):
     return [record.as_dict() for record in trace.records]
 
 
-def _chunked_copy(trace, block_rows, budget=None):
-    """An independent chunked rebuild of ``trace`` (own governor)."""
-    dataset = TraceDataset.from_records(list(trace.records),
-                                        metadata=dict(trace.metadata))
-    dataset._chunk_in_place(block_rows=block_rows,
-                            governor=ResidencyGovernor(budget))
-    return dataset
-
-
 # -- golden value identity across block sizes ------------------------------------------
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 10_000])
 class TestBlockwiseIdentity:
     def test_records_and_values_identical(self, plain_trace, block_rows):
-        chunked = _chunked_copy(plain_trace, block_rows)
-        assert chunked.is_chunked
+        chunked = chunked_copy(plain_trace, block_rows)
+        assert chunked.data_plane_stats()["blocks"] \
+            == -(-len(plain_trace) // block_rows)
         assert len(chunked) == len(plain_trace)
         assert _records(chunked) == _records(plain_trace)
         for name in ("submit_time", "queue_minutes", "utilization",
@@ -86,7 +82,7 @@ class TestBlockwiseIdentity:
 
     def test_group_by_and_grouped_values_identical(self, plain_trace,
                                                    block_rows):
-        chunked = _chunked_copy(plain_trace, block_rows)
+        chunked = chunked_copy(plain_trace, block_rows)
         plain_groups = plain_trace.group_by_machine()
         chunked_groups = chunked.group_by_machine()
         assert sorted(plain_groups) == sorted(chunked_groups)
@@ -101,7 +97,7 @@ class TestBlockwiseIdentity:
     def test_figures_identical(self, plain_trace, block_rows):
         fleet = TraceGeneratorConfig(**CONFIG).build_fleet()
         plain = reproduce_all(plain_trace, fleet=fleet).as_dict()
-        chunked = reproduce_all(_chunked_copy(plain_trace, block_rows),
+        chunked = reproduce_all(chunked_copy(plain_trace, block_rows),
                                 fleet=fleet).as_dict()
         assert json.dumps(plain, sort_keys=True) \
             == json.dumps(chunked, sort_keys=True)
@@ -110,17 +106,73 @@ class TestBlockwiseIdentity:
         plain_path = tmp_path / "plain.npz"
         chunked_path = tmp_path / "chunked.npz"
         plain_trace.to_npz(plain_path)
-        _chunked_copy(plain_trace, block_rows).to_npz(chunked_path)
+        chunked_copy(plain_trace, block_rows).to_npz(chunked_path)
         assert plain_path.read_bytes() == chunked_path.read_bytes()
 
     def test_iter_blocks_covers_every_row_once(self, plain_trace, block_rows):
-        chunked = _chunked_copy(plain_trace, block_rows)
+        chunked = chunked_copy(plain_trace, block_rows)
         sizes = [len(block) for block in chunked.iter_blocks()]
         assert sum(sizes) == len(plain_trace)
         assert all(size <= block_rows for size in sizes)
         total = sum(int(block.values("batch_size").sum())
                     for block in chunked.iter_blocks(columns=["batch_size"]))
         assert total == int(plain_trace.values("batch_size").sum())
+
+
+def _block_rows(trace):
+    return [block.rows for block in trace._store.blocks]
+
+
+class TestBlockLayout:
+    """One block layout per budget: with none, every way of building a
+    dataset gives one resident block; under one, equal columns are cut
+    into equal blocks whichever way they arrive."""
+
+    def test_one_block_without_a_budget(self, plain_trace, tmp_path):
+        records = list(plain_trace.records)
+        half = len(records) // 2
+        path = tmp_path / "trace.npz"
+        plain_trace.to_npz(path)
+        extended = TraceDataset.from_records(records[:half])
+        extended.extend(records[half:])
+        built = {
+            "from_records": TraceDataset.from_records(records),
+            "from_columns": TraceDataset.from_columns(
+                stored_columns(plain_trace), dict(plain_trace._vocabs)),
+            "merge_shard_columns": merge_shard_columns([
+                ShardColumns.from_records(records[:half]),
+                ShardColumns.from_records(records[half:])]),
+            "from_npz": TraceDataset.from_npz(path),
+            "extend": extended,
+            "where": plain_trace.successful(),
+            "take": plain_trace.take([5, 1, 3]),
+        }
+        for machine, group in plain_trace.group_by("machine").items():
+            built[f"group_by {machine}"] = group
+        for how, dataset in built.items():
+            assert _block_rows(dataset) == [len(dataset)], how
+            assert not dataset.is_out_of_core, how
+        assert _records(built["extend"]) == _records(plain_trace)
+
+    def test_values_are_cached_without_a_budget(self, plain_trace):
+        for name in ("queue_minutes", "machine"):
+            assert plain_trace.values(name) is plain_trace.values(name)
+
+    def test_equal_columns_cut_equal_blocks_under_a_budget(self,
+                                                           plain_trace,
+                                                           tmp_path):
+        records = list(plain_trace.records)
+        path = tmp_path / "trace.npz"
+        plain_trace.to_npz(path)
+        set_memory_budget(4096)
+        from_columns = TraceDataset.from_columns(
+            stored_columns(plain_trace), dict(plain_trace._vocabs))
+        extended = TraceDataset.from_records(records[:10])
+        extended.extend(records[10:])
+        layout = _block_rows(from_columns)
+        assert len(layout) > 1
+        assert _block_rows(TraceDataset.from_npz(path)) == layout
+        assert _block_rows(extended) == layout
 
 
 # -- spilling under a tiny budget ------------------------------------------------------
@@ -130,7 +182,7 @@ class TestSpillUnderBudget:
     def test_budget_forces_spills_with_identical_values(self, plain_trace):
         budget = 2048
         assert budget < plain_trace.column_nbytes()
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=budget)
+        chunked = chunked_copy(plain_trace, block_rows=16, budget=budget)
         assert chunked.is_out_of_core
         for name in ("queue_minutes", "machine", "utilization"):
             a = plain_trace.values(name)
@@ -140,8 +192,53 @@ class TestSpillUnderBudget:
             else:
                 assert a.tolist() == b.tolist()
         stats = chunked.data_plane_stats()
-        assert stats["chunked"] is True
         assert stats["spills"] > 0
+
+    def test_damaged_spill_file_raises(self, plain_trace):
+        chunked = chunked_copy(plain_trace, block_rows=16, budget=2048)
+        block = next(block for block in chunked._store.blocks
+                     if not block.resident)
+        original = block.path.read_bytes()
+        flipped = bytearray(original)
+        flipped[0] ^= 0x01
+        block.path.write_bytes(bytes(flipped))
+        with pytest.raises(WorkloadError, match="spill file"):
+            block.column(block.names[0])
+        with pytest.raises(WorkloadError, match="spill file"):
+            chunked.values(block.names[0])
+        block.path.write_bytes(original[:-1])
+        with pytest.raises(WorkloadError, match="spill file"):
+            block.arrays()
+        block.path.write_bytes(original)
+        assert _records(chunked) == _records(plain_trace)
+
+    def test_dropped_subsets_leave_no_spill_files(self, plain_trace):
+        chunked = chunked_copy(plain_trace, block_rows=16, budget=2048)
+        for _ in range(2):
+            chunked.group_by("machine")
+            chunked.successful()
+        paths = {block.path for block in chunked._store.blocks
+                 if block.path is not None}
+        assert paths
+        assert set(next(iter(paths)).parent.iterdir()) == paths
+
+    def test_extend_keeps_a_budgeted_dataset_in_its_budget(self):
+        """``extend`` re-cuts the rows under the dataset's own governor
+        instead of dropping it for plain resident columns."""
+        budget = 4096
+        trace = run_study(config=TraceGeneratorConfig(
+            total_jobs=200, months=2, seed=7), workers=1).trace
+        records = list(trace.records)
+        set_memory_budget(budget)
+        dataset = TraceDataset.from_records(records[:150])
+        assert dataset.is_out_of_core
+        assert dataset.data_plane_stats()["resident_bytes"] <= budget
+        dataset.extend(records[150:])
+        assert dataset.is_out_of_core
+        stats = dataset.data_plane_stats()
+        assert stats["total_bytes"] == trace.column_nbytes()
+        assert stats["resident_bytes"] <= budget
+        assert _records(dataset) == _records(trace)
 
     def test_report_under_budget_spills_and_matches(self, tmp_path):
         """`run-study --report` under a budget smaller than the columns."""
@@ -197,7 +294,7 @@ class TestCacheManifests:
         cache = TraceCache(tmp_path)
         cache.put("p" * 24, plain_trace)
         key = "a" * 24
-        chunked = _chunked_copy(plain_trace, block_rows=16, budget=2048)
+        chunked = chunked_copy(plain_trace, block_rows=16, budget=2048)
         assert chunked.is_out_of_core
         path = cache.put(key, chunked)
         assert path == cache.path_for(key)
@@ -209,12 +306,12 @@ class TestCacheManifests:
         budget = 2048
         set_memory_budget(budget)
         loaded = cache.get(key)
-        assert loaded is not None and loaded.is_chunked
+        assert loaded is not None and loaded.is_out_of_core
         assert _records(loaded) == _records(plain_trace)
         layout = TraceDataset.from_columns(
-            dict(plain_trace._columns), dict(plain_trace._vocabs))
-        assert [block.rows for block in loaded._blocks.blocks] \
-            == [block.rows for block in layout._blocks.blocks]
+            stored_columns(plain_trace), dict(plain_trace._vocabs))
+        assert [block.rows for block in loaded._store.blocks] \
+            == [block.rows for block in layout._store.blocks]
         assert loaded.data_plane_stats()["resident_bytes"] <= budget
 
     def test_in_ram_put_stays_single_npz(self, tmp_path, plain_trace):
@@ -250,7 +347,7 @@ class TestBudgetBound:
         reps = -(-30_000_000 // plain_trace.column_nbytes())
         tiled = TraceDataset.from_columns(
             {name: np.tile(column, reps)
-             for name, column in plain_trace._columns.items()},
+             for name, column in stored_columns(plain_trace).items()},
             dict(plain_trace._vocabs), dict(plain_trace.metadata))
         nbytes = tiled.column_nbytes()
         assert nbytes >= 30_000_000

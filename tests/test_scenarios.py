@@ -523,7 +523,7 @@ class TestScenarioCacheHit:
         assert study.cache_hit and scenario.cache_hit
         assert scenario.fingerprint == study.fingerprint
         for trace in (study.trace, scenario.trace):
-            assert trace.is_chunked and trace.is_out_of_core
+            assert trace.is_out_of_core
             trace.group_by("machine")
             stats = trace.data_plane_stats()
             assert stats["total_bytes"] > self.BUDGET

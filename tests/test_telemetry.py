@@ -242,18 +242,14 @@ class TestRegistryStaysFlat:
         assert last == first
 
     def test_residency_governors(self, tmp_path):
-        from repro.workloads.blocks import ResidencyGovernor
-        from repro.workloads.trace import TraceDataset
+        from blockcut import chunked_copy
 
         trace = run_study(config=TraceGeneratorConfig(total_jobs=40,
                                                       months=2, seed=5),
                           workers=1).trace
-        records = list(trace.records)
 
         def chunked():
-            dataset = TraceDataset.from_records(records)
-            dataset._chunk_in_place(block_rows=8,
-                                    governor=ResidencyGovernor(4096))
+            dataset = chunked_copy(trace, 8, budget=4096)
             assert dataset.data_plane_stats()["spills"] > 0
 
         first, last = self._counts_after(chunked, 100, "repro_residency")

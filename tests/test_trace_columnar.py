@@ -103,6 +103,15 @@ class TestSelection:
         subset = mixed_trace.take([3, 0])
         assert [r.job_id for r in subset] == ["d", "a"]
 
+    @pytest.mark.parametrize("indices", [[4], [-5], [1, 4], [4, 1]])
+    def test_take_rejects_out_of_range_indices(self, mixed_trace, indices):
+        with pytest.raises(IndexError):
+            mixed_trace.take(indices)
+
+    def test_take_accepts_negative_indices(self, mixed_trace):
+        subset = mixed_trace.take([-4, -1])
+        assert [r.job_id for r in subset] == ["a", "d"]
+
     def test_mask_equal_on_categorical(self, mixed_trace):
         mask = mixed_trace.mask_equal("machine", "ibmq_rome")
         assert mask.tolist() == [False, True, False, True]
