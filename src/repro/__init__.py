@@ -19,16 +19,24 @@ are re-exported here:
   recommendation implementations.
 """
 
-from repro.circuits import QuantumCircuit, qft_circuit, ghz_circuit, build_circuit
-from repro.devices import Backend, build_backend, fleet_in_study
-from repro.transpiler import transpile
-from repro.fidelity import estimate_success_probability, compute_cx_metrics
-from repro.cloud import CircuitSpec, Job, QuantumCloudService, circuit_spec_from_circuit
-from repro.workloads import TraceDataset, TraceGeneratorConfig
-from repro.runner import run_study
-from repro.prediction import RuntimePredictionStudy, QueueTimePredictor
-from repro.scheduling import MachineSelector, SelectionObjective
-from repro.scenarios import Scenario, builtin_scenarios, run_scenarios
+from repro.core.lazy import lazy_exports
+
+# Each name is imported from its subpackage on first use, so ``import
+# repro`` loads no subsystem and a command imports only what it runs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.circuits": ("QuantumCircuit", "qft_circuit", "ghz_circuit",
+                       "build_circuit"),
+    "repro.devices": ("Backend", "build_backend", "fleet_in_study"),
+    "repro.transpiler": ("transpile",),
+    "repro.fidelity": ("estimate_success_probability", "compute_cx_metrics"),
+    "repro.cloud": ("CircuitSpec", "Job", "QuantumCloudService",
+                    "circuit_spec_from_circuit"),
+    "repro.workloads": ("TraceDataset", "TraceGeneratorConfig"),
+    "repro.runner": ("run_study",),
+    "repro.prediction": ("RuntimePredictionStudy", "QueueTimePredictor"),
+    "repro.scheduling": ("MachineSelector", "SelectionObjective"),
+    "repro.scenarios": ("Scenario", "builtin_scenarios", "run_scenarios"),
+})
 
 __version__ = "1.8.0"
 

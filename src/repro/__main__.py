@@ -46,24 +46,22 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from repro.analysis import reproduce_all
-from repro.analysis.compare import compare_suite
 from repro.core.env import env_int
 from repro.core.exceptions import ReproError
-from repro.runner import StudyResult, run_study
-from repro.scenarios import (
-    builtin_scenarios,
-    load_suite,
-    read_spec_payload,
-    resolve_submission,
-    run_scenarios,
-)
 from repro.telemetry import get_registry, get_tracer, render_prometheus
-from repro.workloads.blocks import set_memory_budget
-from repro.workloads.generator import TraceGeneratorConfig
-from repro.workloads.trace import TraceDataset
+
+if TYPE_CHECKING:
+    from repro.runner import StudyResult
+    from repro.workloads.trace import TraceDataset
+
+# Each command imports the modules it runs in its handler, so the cache,
+# client and metrics commands start without numpy.  A study command
+# imports the runner (and the scenario package) before its pool forks, so
+# the workers inherit every module they run and import nothing on their
+# first task; the analysis, which only this process runs, is imported
+# after the study.
 
 
 #: The study knobs that a spec's ``[study]`` table, or the gateway's own
@@ -198,6 +196,9 @@ def _event_printer(args: argparse.Namespace):
 
 
 def _generate(args: argparse.Namespace) -> StudyResult:
+    from repro.runner import run_study
+    from repro.workloads.generator import TraceGeneratorConfig
+
     config = TraceGeneratorConfig(
         total_jobs=args.jobs, months=args.months, seed=args.seed)
     result = run_study(
@@ -232,6 +233,9 @@ def cmd_run_study(args: argparse.Namespace) -> int:
 def _load_or_generate_trace(args: argparse.Namespace):
     """The (trace, fleet) pair for analysis subcommands."""
     if getattr(args, "trace", None):
+        from repro.workloads.generator import TraceGeneratorConfig
+        from repro.workloads.trace import TraceDataset
+
         trace = TraceDataset.load(args.trace)
         seed = int(trace.metadata.get("seed", args.seed))
         fleet = TraceGeneratorConfig(seed=seed).build_fleet()
@@ -242,6 +246,8 @@ def _load_or_generate_trace(args: argparse.Namespace):
 
 def cmd_figures(args: argparse.Namespace) -> int:
     trace, fleet = _load_or_generate_trace(args)
+    from repro.analysis import reproduce_all
+
     report = reproduce_all(trace, fleet=fleet)
     if args.output:
         Path(args.output).write_text(json.dumps(report.as_dict(), indent=2))
@@ -252,9 +258,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    trace, fleet = _load_or_generate_trace(args)
+    from repro.analysis import reproduce_all
     from repro.cloud import CloudDashboard
 
-    trace, fleet = _load_or_generate_trace(args)
     dashboard = CloudDashboard(fleet, seed=args.seed)
     print(dashboard.render(at_time=0.0))
     print()
@@ -343,6 +350,8 @@ def _suite_payload(args: argparse.Namespace) -> Dict[str, object]:
     subcommands resolve it with the same :func:`resolve_submission`."""
     payload: Dict[str, object] = {}
     if args.spec:
+        from repro.scenarios import read_spec_payload
+
         payload["suite"] = read_spec_payload(args.spec)
     if args.scenarios:
         payload["scenarios"] = [name.strip()
@@ -365,6 +374,9 @@ def _resolve_suite(args: argparse.Namespace):
     the command line or through the ``REPRO_BENCH_*`` environment win over
     it.
     """
+    from repro.scenarios import resolve_submission
+    from repro.workloads.generator import TraceGeneratorConfig
+
     default = TraceGeneratorConfig(
         total_jobs=args.jobs, months=args.months, seed=args.seed)
     return resolve_submission(
@@ -380,6 +392,8 @@ def _scenario_cache_dir(args: argparse.Namespace) -> Optional[str]:
 
 
 def _list_scenarios(args: argparse.Namespace) -> int:
+    from repro.scenarios import builtin_scenarios, load_suite
+
     catalog = (load_suite(args.spec).catalog() if args.spec
                else builtin_scenarios())
     for name in sorted(catalog):
@@ -388,6 +402,8 @@ def _list_scenarios(args: argparse.Namespace) -> int:
 
 
 def _run_suite(args: argparse.Namespace):
+    from repro.scenarios import run_scenarios
+
     base, scenarios = _resolve_suite(args)
     suite = run_scenarios(
         scenarios, base,
@@ -421,6 +437,8 @@ def cmd_compare_scenarios(args: argparse.Namespace) -> int:
     if args.list_scenarios:
         return _list_scenarios(args)
     suite = _run_suite(args)
+    from repro.analysis.compare import compare_suite
+
     analysis_started = time.perf_counter()
     report = compare_suite(suite)
     if args.profile_phases:
@@ -479,6 +497,7 @@ def _service_url(args: argparse.Namespace) -> str:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import StudyService, serve
+    from repro.workloads.generator import TraceGeneratorConfig
 
     config = TraceGeneratorConfig(
         total_jobs=args.jobs, months=args.months, seed=args.seed)
@@ -829,6 +848,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         get_tracer().enable()
     try:
         if budget is not None:
+            from repro.workloads.blocks import set_memory_budget
+
             set_memory_budget(budget)
         return int(args.handler(args))
     except ReproError as exc:

@@ -6,8 +6,8 @@ This package provides the from-scratch circuit substrate the study needs:
   gates of IBM superconducting devices, matrices for simulation).
 * :mod:`repro.circuits.circuit` — :class:`QuantumCircuit`, the mutable list
   of instructions with the width/depth/CX metrics the paper analyses.
-* :mod:`repro.circuits.dag` — a DAG view used by transpiler passes and depth
-  computation.
+* :mod:`repro.circuits.dag` — a dependency-DAG view of a circuit (layers,
+  predecessors, longest path), backed by networkx and imported on first use.
 * :mod:`repro.circuits.library` — generators for the benchmark circuits the
   paper runs (QFT, GHZ, Bernstein-Vazirani, QAOA, VQE ansatz, random).
 * :mod:`repro.circuits.qasm` — a minimal OpenQASM 2 exporter/importer.
@@ -22,7 +22,6 @@ from repro.circuits.gates import (
     gate_matrix,
 )
 from repro.circuits.circuit import Instruction, QuantumCircuit
-from repro.circuits.dag import CircuitDAG, DAGNode
 from repro.circuits.library import (
     qft_circuit,
     qft_echo_circuit,
@@ -36,6 +35,12 @@ from repro.circuits.library import (
     build_circuit,
 )
 from repro.circuits.qasm import to_qasm, from_qasm
+from repro.core.lazy import lazy_exports
+
+# The DAG is the only circuit module that imports networkx.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.circuits.dag": ("CircuitDAG", "DAGNode"),
+})
 
 __all__ = [
     "Gate",

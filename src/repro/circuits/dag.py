@@ -1,9 +1,12 @@
 """Directed-acyclic-graph view of a circuit.
 
-Transpiler passes (commutation analysis, block collection, routing) need a
-dependency structure rather than a flat instruction list.  :class:`CircuitDAG`
-builds a DAG whose nodes are instructions and whose edges follow qubit and
-classical-bit wires, backed by :mod:`networkx`.
+:class:`CircuitDAG` builds a DAG whose nodes are instructions and whose
+edges follow qubit and classical-bit wires, backed by :mod:`networkx`: the
+dependency structure behind a circuit's front layer, ASAP layers and
+critical path.  No transpiler pass uses it (each works on the flat
+instruction list, and :meth:`QuantumCircuit.depth` is one loop over it), so
+:mod:`repro.circuits` imports this module, and networkx, only when a DAG is
+first asked for.
 """
 
 from __future__ import annotations

@@ -299,17 +299,19 @@ def _replay(
     execution_model: ExecutionTimeModel,
     failure_model: FailureModel,
     block_size: int = 1024,
-) -> Generator[int, Tuple[Sequence[Job], float], None]:
+) -> Generator[Tuple[int, float], Tuple[Sequence[Job], float], None]:
     """The resumable replay of one machine; prime it with ``next``.
 
     ``send((jobs, until))`` queues ``jobs`` in order, each after every
     event at or before its submission time, then runs the events at or
     before ``until``, and yields the machine's queue length (jobs queued
-    and not yet dispatched).  ``jobs`` must be sorted by ``(submit_time,
-    job_id)`` — the submission order — and be validated, and none may
-    precede a time the replay has already run to.  Three rules make a
-    replay stopped at a clock show exactly the state of the event loop
-    stopped there:
+    and not yet dispatched) and the time of its next event (``inf`` when
+    none is pending).  A send of no jobs with ``until`` before that time
+    changes nothing, so a caller may skip it.  ``jobs`` must be sorted by
+    ``(submit_time, job_id)`` — the submission order — and be validated,
+    and none may precede a time the replay has already run to.  Three
+    rules make a replay stopped at a clock show exactly the state of the
+    event loop stopped there:
 
     1. The last submission of a send puts its dispatch on the heap instead
        of running it inline, as the event loop's ``submit`` schedules it:
@@ -403,7 +405,7 @@ def _replay(
     mean_jobs_at = None  # timestamp the cached mean_jobs was computed at
 
     while True:
-        jobs, until = yield queue_size
+        jobs, until = yield queue_size, heap[0][0] if heap else math.inf
         submit_index = 0
         total_jobs = len(jobs)
         if total_jobs:

@@ -71,6 +71,8 @@ class QuantumCloudService:
                                                         seed=load_seed)
         #: each machine's queue length, as its replay last yielded it
         self._queued = dict.fromkeys(self.fleet, 0)
+        #: each machine's next event time, as its replay last yielded it
+        self._next_event = dict.fromkeys(self.fleet, math.inf)
         #: every accepted job, by id, in submission order
         self._jobs: Dict[str, Job] = {}
 
@@ -102,7 +104,8 @@ class QuantumCloudService:
         # Every other machine runs its events up to the submission; the
         # job's own machine runs them before queueing it and none after.
         self._advance(job.submit_time, skip=name)
-        self._queued[name] = self._replays[name].send(([job], -math.inf))
+        self._queued[name], self._next_event[name] = \
+            self._replays[name].send(([job], -math.inf))
         self._jobs[job.job_id] = job
         self._now = job.submit_time
         return job
@@ -158,7 +161,9 @@ class QuantumCloudService:
         return backend_name
 
     def _advance(self, until: float, skip: Optional[str] = None) -> None:
-        """Run every machine but ``skip`` to ``until``."""
+        """Run every machine but ``skip`` to ``until``; a machine with no
+        event at or before ``until`` is not resumed."""
+        next_event = self._next_event
         for name, replay in self._replays.items():
-            if name != skip:
-                self._queued[name] = replay.send(((), until))
+            if next_event[name] <= until and name != skip:
+                self._queued[name], next_event[name] = replay.send(((), until))

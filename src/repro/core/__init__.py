@@ -32,7 +32,13 @@ from repro.core.units import (
     format_duration,
 )
 from repro.core.env import env_int
-from repro.core.rng import RandomSource, derive_seed
+from repro.core.lazy import lazy_exports
+
+# ``rng`` is the only numpy import under ``core``; the modules that need no
+# numpy (the cache root, the exceptions) import this package too.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.rng": ("RandomSource", "derive_seed"),
+})
 
 __all__ = [
     "ReproError",

@@ -16,22 +16,31 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.exceptions import DeviceError
 
 Edge = Tuple[int, int]
 
+#: A dict-of-dicts adjacency: each qubit's neighbours, in insertion order.
+Adjacency = Dict[int, Dict[int, None]]
+
 
 class CouplingMap:
-    """Undirected qubit-connectivity graph of a quantum machine."""
+    """Undirected qubit-connectivity graph of a quantum machine.
+
+    The adjacency is filled as ``networkx.Graph`` fills its own: qubits in
+    index order, each qubit's neighbours in the order their first edge was
+    given.  Searches visit neighbours in that order, so a shortest path is
+    the one networkx returns, and the Kernighan-Lin heuristic gets the
+    graph networkx would have built from the same edges.
+    """
 
     def __init__(self, num_qubits: int, edges: Iterable[Edge]):
         if num_qubits < 1:
             raise DeviceError("a coupling map needs at least one qubit")
         self.num_qubits = int(num_qubits)
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(self.num_qubits))
+        self._adj: Adjacency = {qubit: {} for qubit in range(self.num_qubits)}
+        #: each edge once, as first given
+        self._edge_order: List[Edge] = []
         for a, b in edges:
             if a == b:
                 raise DeviceError(f"self-loop edge ({a}, {b}) is invalid")
@@ -39,15 +48,16 @@ class CouplingMap:
                 raise DeviceError(
                     f"edge ({a}, {b}) out of range for {num_qubits} qubits"
                 )
-            self._graph.add_edge(int(a), int(b))
-        self._edges = sorted(tuple(sorted(edge)) for edge in self._graph.edges)
-        self._distance_cache: Optional[Dict[int, Dict[int, int]]] = None
+            a, b = int(a), int(b)
+            if b not in self._adj[a]:
+                self._adj[a][b] = None
+                self._adj[b][a] = None
+                self._edge_order.append((a, b))
+        self._edges = sorted((min(a, b), max(a, b)) for a, b in self._edge_order)
+        #: breadth-first distances from each source asked for so far
+        self._distance_rows: Dict[int, Dict[int, int]] = {}
 
     # -- basic structure -----------------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
 
     @property
     def edges(self) -> List[Edge]:
@@ -55,26 +65,24 @@ class CouplingMap:
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def neighbors(self, qubit: int) -> List[int]:
         self._check_qubit(qubit)
-        return sorted(self._graph.neighbors(qubit))
+        return sorted(self._adj[qubit])
 
     def degree(self, qubit: int) -> int:
         self._check_qubit(qubit)
-        return self._graph.degree(qubit)
+        return len(self._adj[qubit])
 
     def are_connected(self, qubit_a: int, qubit_b: int) -> bool:
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
-        return self._graph.has_edge(qubit_a, qubit_b)
+        return qubit_b in self._adj[qubit_a]
 
     def is_connected_graph(self) -> bool:
         """Whether the device graph is a single connected component."""
-        if self.num_qubits == 1:
-            return True
-        return nx.is_connected(self._graph)
+        return len(self._distances_from(0)) == self.num_qubits
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
@@ -84,38 +92,67 @@ class CouplingMap:
 
     # -- distances -----------------------------------------------------------------
 
-    def _distances(self) -> Dict[int, Dict[int, int]]:
-        if self._distance_cache is None:
-            self._distance_cache = dict(nx.all_pairs_shortest_path_length(self._graph))
-        return self._distance_cache
+    def _distances_from(self, source: int) -> Dict[int, int]:
+        """Hop counts from ``source`` to every qubit it reaches."""
+        row = self._distance_rows.get(source)
+        if row is None:
+            row = {source: 0}
+            frontier = [source]
+            hops = 0
+            while frontier:
+                hops += 1
+                reached = []
+                for node in frontier:
+                    for neighbour in self._adj[node]:
+                        if neighbour not in row:
+                            row[neighbour] = hops
+                            reached.append(neighbour)
+                frontier = reached
+            self._distance_rows[source] = row
+        return row
 
     def distance(self, qubit_a: int, qubit_b: int) -> int:
         """Shortest-path distance in the coupling graph."""
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
         try:
-            return self._distances()[qubit_a][qubit_b]
+            return self._distances_from(qubit_a)[qubit_b]
         except KeyError:
             raise DeviceError(
                 f"qubits {qubit_a} and {qubit_b} are not connected"
             ) from None
 
     def shortest_path(self, qubit_a: int, qubit_b: int) -> List[int]:
+        """The qubits of a shortest path from ``qubit_a`` to ``qubit_b``.
+
+        Of several shortest paths this is the one ``nx.shortest_path``
+        returns: the search is networkx's bidirectional breadth-first
+        search, step for step.  Routing swaps along it.
+        """
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
-        try:
-            return nx.shortest_path(self._graph, qubit_a, qubit_b)
-        except nx.NetworkXNoPath:
+        found = _bidirectional_search(self._adj, qubit_a, qubit_b)
+        if found is None:
             raise DeviceError(
                 f"qubits {qubit_a} and {qubit_b} are not connected"
-            ) from None
+            )
+        pred, succ, node = found
+        path = []
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[path[-1]]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
 
     def diameter(self) -> int:
         if not self.is_connected_graph():
             raise DeviceError("diameter undefined for disconnected coupling map")
-        if self.num_qubits == 1:
-            return 0
-        return nx.diameter(self._graph)
+        return max(max(self._distances_from(qubit).values())
+                   for qubit in range(self.num_qubits))
 
     # -- bisection bandwidth (Fig. 6) ------------------------------------------------
 
@@ -151,20 +188,28 @@ class CouplingMap:
 
     def _cut_size(self, side: Set[int]) -> int:
         return sum(
-            1 for a, b in self._graph.edges if (a in side) != (b in side)
+            1 for a, b in self._edges if (a in side) != (b in side)
         )
 
     def _heuristic_bisection(self, half: int) -> int:
+        # The only use of networkx on a coupling map, so it is imported
+        # here.  Kernighan-Lin walks the nodes and their neighbours in the
+        # graph's insertion order, which adding the edges as first given
+        # reproduces.
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.num_qubits))
+        graph.add_edges_from(self._edge_order)
         best = None
         for seed in range(5):
             try:
                 partition = nx.algorithms.community.kernighan_lin_bisection(
-                    self._graph, max_iter=20, seed=seed
+                    graph, max_iter=20, seed=seed
                 )
             except Exception:  # pragma: no cover - networkx internal failure
                 continue
-            side = set(itertools.islice(iter(partition[0]), len(partition[0])))
-            cut = self._cut_size(side)
+            cut = self._cut_size(partition[0])
             if best is None or cut < best:
                 best = cut
         if best is None:  # pragma: no cover - fallback
@@ -175,8 +220,18 @@ class CouplingMap:
         """Whether the induced subgraph over ``qubits`` is connected."""
         if not qubits:
             return False
-        sub = self._graph.subgraph(qubits)
-        return nx.is_connected(sub)
+        region = set(qubits)
+        for qubit in region:
+            self._check_qubit(qubit)
+        start = next(iter(region))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for neighbour in self._adj[stack.pop()]:
+                if neighbour in region and neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        return len(seen) == len(region)
 
     def __repr__(self) -> str:
         return f"CouplingMap(qubits={self.num_qubits}, edges={self.num_edges})"
@@ -185,6 +240,42 @@ class CouplingMap:
         if not isinstance(other, CouplingMap):
             return NotImplemented
         return self.num_qubits == other.num_qubits and self.edges == other.edges
+
+
+def _bidirectional_search(adj: Adjacency, source: int, target: int
+                          ) -> Optional[Tuple[Dict[int, Optional[int]],
+                                              Dict[int, Optional[int]], int]]:
+    """networkx's ``_bidirectional_pred_succ`` on a dict-of-dicts adjacency.
+
+    Returns ``(pred, succ, meet)``: the forward search's predecessors back
+    to ``source``, the reverse search's successors on to ``target`` and the
+    qubit where they met; ``None`` when no path exists.
+    """
+    pred: Dict[int, Optional[int]] = {source: None}
+    succ: Dict[int, Optional[int]] = {target: None}
+    if source == target:
+        return pred, succ, source
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for node in level:
+                for neighbour in adj[node]:
+                    if neighbour not in pred:
+                        forward.append(neighbour)
+                        pred[neighbour] = node
+                    if neighbour in succ:
+                        return pred, succ, neighbour
+        else:
+            level, reverse = reverse, []
+            for node in level:
+                for neighbour in adj[node]:
+                    if neighbour not in succ:
+                        succ[neighbour] = node
+                        reverse.append(neighbour)
+                    if neighbour in pred:
+                        return pred, succ, neighbour
+    return None
 
 
 # ---------------------------------------------------------------------------

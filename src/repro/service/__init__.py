@@ -18,8 +18,8 @@ long-lived multi-tenant server over the one shared worker pool:
   tests use.
 """
 
+from repro.core.lazy import lazy_exports
 from repro.service.client import GatewayError, StudyServiceClient
-from repro.service.gateway import StudyService, serve
 from repro.service.jobs import (
     JobQuotaExceeded,
     JobRegistry,
@@ -27,7 +27,13 @@ from repro.service.jobs import (
     ServiceJob,
     UnknownJobError,
 )
-from repro.service.store import ResultStore, comparison_key
+
+# The gateway and the store run studies and read traces, so they load
+# numpy; the client commands import only the client and the registry.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.gateway": ("StudyService", "serve"),
+    "repro.service.store": ("ResultStore", "comparison_key"),
+})
 
 __all__ = [
     "GatewayError",

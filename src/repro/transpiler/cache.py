@@ -122,10 +122,6 @@ class TranspileSummary:
     swap_count: int
     pass_timings: Tuple[Tuple[str, float], ...] = ()
 
-    @property
-    def total_pass_seconds(self) -> float:
-        return sum(seconds for _, seconds in self.pass_timings)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "family": self.family,

@@ -23,7 +23,7 @@ byte-identical for any worker or shard count, cached or not.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.devices.backend import Backend
 from repro.scheduling.policies import (
@@ -45,7 +45,6 @@ __all__ = [
     "ClassRankTable",
     "TranspilePair",
     "compute_class_summary",
-    "compute_class_summaries",
 ]
 
 #: One (equivalence class, machine) transpile unit of work.
@@ -65,16 +64,6 @@ def compute_class_summary(family: str, width: int, backend: Backend,
     return summarise_transpile(
         circuit, backend, level, seed=seed, family=family,
         class_fp=class_fingerprint(family, width))
-
-
-def compute_class_summaries(pairs: Iterable[TranspilePair],
-                            fleet: Dict[str, Backend], level: int,
-                            seed: int = DEFAULT_RANK_SEED
-                            ) -> List[TranspileSummary]:
-    """Summaries for a batch of (family, width, machine) pairs, in order."""
-    return [compute_class_summary(family, width, fleet[machine], level,
-                                  seed=seed)
-            for family, width, machine in pairs]
 
 
 class ClassRankTable:

@@ -77,6 +77,69 @@ def test_the_package_starts_without_scipy():
     assert loaded.stdout.strip() == "[]"
 
 
+def _fresh(*argv):
+    """Run ``python *argv`` on the source tree; return the completed run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def _imported(importtime_log):
+    """The top-level packages an ``-X importtime`` log lists."""
+    return {line.rsplit("|", 1)[1].strip().split(".")[0]
+            for line in importtime_log.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_the_cache_command_starts_without_numpy_or_networkx(tmp_path):
+    # The benchmark times this start; the cache root needs neither.
+    run = _fresh("-X", "importtime", "-m", "repro", "cache",
+                 "--cache-dir", str(tmp_path / "cache"))
+    assert '"entries": 0' in run.stdout
+    imported = _imported(run.stderr)
+    assert "repro" in imported
+    assert not imported & {"numpy", "networkx"}
+
+
+def test_the_study_modules_load_no_networkx():
+    # What run-scenarios imports before its pool forks: the workers inherit
+    # it, so neither side loads networkx.
+    loaded = _fresh(
+        "-c", "import sys, repro.runner, repro.scenarios; "
+              "print(sorted(name for name in sys.modules "
+              "if name.split('.')[0] == 'networkx'))")
+    assert loaded.stdout.strip() == "[]"
+
+
+def test_lazy_exports_resolve_on_first_use():
+    # The packages load their heavy exports on first use, and every name
+    # in __all__ still resolves and is listed by dir().
+    script = """
+import json, sys
+def heavy():
+    return sorted({name.split('.')[0] for name in sys.modules}
+                  & {'numpy', 'networkx'})
+import repro, repro.core, repro.service
+light = heavy()
+import repro.circuits
+circuits = heavy()
+packages = (repro, repro.core, repro.circuits, repro.service)
+missing = [f'{module.__name__}.{name}' for module in packages
+           for name in module.__all__
+           if not hasattr(module, name) or name not in dir(module)]
+print(json.dumps([light, circuits, missing, heavy()]))
+"""
+    import json
+
+    light, circuits, missing, resolved = json.loads(
+        _fresh("-c", script).stdout)
+    assert light == []
+    # The gate matrices need numpy; networkx waits for the first DAG.
+    assert circuits == ["numpy"]
+    assert missing == []
+    assert resolved == ["networkx", "numpy"]
+
+
 def test_the_package_imports_no_tests_only_module():
     # The modules beside the tests (the event-loop and row-path
     # references, the figure suite, the trace comparator) prove

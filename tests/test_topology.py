@@ -1,8 +1,11 @@
 """Tests for repro.devices.topology."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import DeviceError
+from repro.devices import fleet_in_study
 from repro.devices.topology import (
     CouplingMap,
     bowtie_topology,
@@ -119,3 +122,150 @@ class TestTopologyConstructors:
     def test_grid_invalid_dimensions(self):
         with pytest.raises(DeviceError):
             grid_topology(0, 3)
+
+
+# -- equivalence with networkx ---------------------------------------------------
+
+
+def built_maps(monkeypatch):
+    """Record every :class:`CouplingMap` built from here on, with the edges
+    it was given, in order: ``[(map, num_qubits, edges)]``."""
+    built = []
+    original = CouplingMap.__init__
+
+    def recording(self, num_qubits, edges):
+        edges = list(edges)
+        built.append((self, num_qubits, edges))
+        original(self, num_qubits, edges)
+
+    monkeypatch.setattr(CouplingMap, "__init__", recording)
+    return built
+
+
+def reference_graph(num_qubits, edges):
+    """The ``nx.Graph`` a coupling map was once backed by: the qubits in
+    index order, then each edge as given."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_qubits))
+    for a, b in edges:
+        graph.add_edge(int(a), int(b))
+    return graph
+
+
+def reference_bisection(graph):
+    """``bisection_bandwidth(exact_limit=2)`` computed on the reference: the
+    least cut of five seeded Kernighan-Lin bisections above two qubits."""
+    if len(graph) <= 2:
+        return graph.number_of_edges()
+    cuts = []
+    for seed in range(5):
+        side = nx.algorithms.community.kernighan_lin_bisection(
+            graph, max_iter=20, seed=seed)[0]
+        cuts.append(sum(1 for a, b in graph.edges
+                        if (a in side) != (b in side)))
+    return min(cuts)
+
+
+def assert_matches_networkx(cmap, graph, regions=()):
+    qubits = range(cmap.num_qubits)
+    assert cmap.edges == sorted(tuple(sorted(edge)) for edge in graph.edges)
+    for qubit in qubits:
+        assert cmap.neighbors(qubit) == sorted(graph.neighbors(qubit))
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    for a in qubits:
+        for b in qubits:
+            if b in lengths[a]:
+                assert cmap.distance(a, b) == lengths[a][b]
+                # Routing swaps along this sequence, so ties must break
+                # as networkx breaks them.
+                assert cmap.shortest_path(a, b) == nx.shortest_path(graph, a, b)
+            else:
+                with pytest.raises(DeviceError):
+                    cmap.distance(a, b)
+                with pytest.raises(DeviceError):
+                    cmap.shortest_path(a, b)
+    connected = nx.is_connected(graph)
+    assert cmap.is_connected_graph() == connected
+    if connected:
+        assert cmap.diameter() == nx.diameter(graph)
+    else:
+        with pytest.raises(DeviceError):
+            cmap.diameter()
+    prefixes = [list(range(size)) for size in range(1, cmap.num_qubits + 1)]
+    for region in [*prefixes, list(qubits)[::2], *regions]:
+        assert cmap.subgraph_is_connected(region) == nx.is_connected(
+            graph.subgraph(region))
+    assert cmap.bisection_bandwidth(exact_limit=2) == reference_bisection(graph)
+
+
+CONSTRUCTED = {
+    "line-1": lambda: line_topology(1),
+    "line-2": lambda: line_topology(2),
+    "line-9": lambda: line_topology(9),
+    "ring-2": lambda: ring_topology(2),
+    "ring-12": lambda: ring_topology(12),
+    "star-9": lambda: star_topology(9),
+    "full-7": lambda: fully_connected_topology(7),
+    "grid-4x5": lambda: grid_topology(4, 5),
+    "t": t_topology,
+    "bowtie": bowtie_topology,
+    "falcon-7": lambda: falcon_topology(7),
+    "falcon-16": lambda: falcon_topology(16),
+    "falcon-27": lambda: falcon_topology(27),
+    "heavy-hex-4x9": lambda: heavy_hex_topology(4, 9),
+    "hummingbird-53": lambda: hummingbird_topology(53),
+    "hummingbird-65": lambda: hummingbird_topology(65),
+}
+
+
+def _graph_of(built, cmap):
+    for candidate, num_qubits, edges in built:
+        if candidate is cmap:
+            return reference_graph(num_qubits, edges)
+    raise AssertionError(f"{cmap!r} was not built through the constructor")
+
+
+@st.composite
+def coupling_graphs(draw):
+    """``(num_qubits, edges, region)``: 2-70 qubits, edges in any order and
+    orientation with repeats, made connected by an interleaved spanning tree
+    half the time, and a qubit region to test for connectivity."""
+    num_qubits = draw(st.integers(2, 70))
+    qubit = st.integers(0, num_qubits - 1)
+    edges = draw(st.lists(st.tuples(qubit, qubit).filter(lambda e: e[0] != e[1]),
+                          max_size=2 * num_qubits))
+    if draw(st.booleans()):
+        tree = []
+        for child in range(1, num_qubits):
+            parent = draw(st.integers(0, child - 1))
+            tree.append((child, parent) if draw(st.booleans())
+                        else (parent, child))
+        edges = draw(st.permutations(edges + tree))
+    region = draw(st.lists(qubit, min_size=1, max_size=num_qubits))
+    return num_qubits, edges, region
+
+
+class TestNetworkxEquivalence:
+    """The dict-of-dicts map answers every query as the ``nx.Graph`` it
+    replaced, built from the same edges in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_every_constructor(self, monkeypatch, name):
+        built = built_maps(monkeypatch)
+        cmap = CONSTRUCTED[name]()
+        assert_matches_networkx(cmap, _graph_of(built, cmap))
+
+    def test_the_study_fleet(self, monkeypatch):
+        built = built_maps(monkeypatch)
+        fleet = fleet_in_study()
+        assert len(fleet) == 28
+        for backend in fleet.values():
+            cmap = backend.coupling_map
+            assert_matches_networkx(cmap, _graph_of(built, cmap))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(coupling_graphs())
+    def test_drawn_graphs(self, drawn):
+        num_qubits, edges, region = drawn
+        assert_matches_networkx(CouplingMap(num_qubits, edges),
+                                reference_graph(num_qubits, edges), [region])
